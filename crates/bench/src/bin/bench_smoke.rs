@@ -19,9 +19,11 @@ use vchain_acc::poly::naive;
 use vchain_acc::{Acc2, AccElem, Accumulator, MultiSet};
 use vchain_bench::{build_chain, shared_acc1, shared_acc2};
 use vchain_core::cache::ProofCache;
+use vchain_core::client::{PipelineMode, StreamVerifier};
 use vchain_core::intra::IntraTree;
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::subscribe::{SubscriptionEngine, SubscriptionMode, WalkStrategy};
+use vchain_core::wire::{encode_response_stream, encode_scan_stream, StreamDecoder};
 use vchain_datagen::{Dataset, SkewProfile, SubscriptionSpec, WorkloadSpec};
 use vchain_pairing::{
     final_exponentiation, g1_subgroup_check, g2_subgroup_check, multi_miller_loop, multi_pairing,
@@ -324,56 +326,56 @@ fn main() {
     timings.push(scan_warm);
 
     // --- checked VO wire decode ------------------------------------------
-    // A full window response through the untrusted byte boundary: structural
-    // parse plus a checked deserialization of every accumulator value and
-    // proof in the VO (the price a light client pays before verification
-    // proper begins).
+    // A full window response through the untrusted byte boundary: one
+    // `StreamDecoder` pass over the one-window stream — structural parse
+    // plus a checked deserialization of every accumulator value and proof
+    // in the VO (the price a light client pays before verification proper
+    // begins).
     let resp = sp.time_window_query(&windows[0]);
-    let encoded = vchain_core::wire::encode_response(&resp);
+    let encoded = encode_response_stream(&resp);
     let sp_acc = sp.acc.clone();
     eprintln!("[bench-smoke] vo_decode_checked input: {} bytes", encoded.len());
     timings.push(time("vo_decode_checked", 5, || {
-        vchain_core::wire::decode_response(&sp_acc, &encoded).expect("honest VO decodes")
+        let mut dec = StreamDecoder::new();
+        let events = dec.feed(&sp_acc, &encoded).expect("honest VO decodes");
+        dec.finish().expect("honest VO is complete");
+        events
     }));
 
-    // --- light-client pipeline: dedup encoding, streaming, batching -------
+    // --- light-client pipeline: dedup, streaming, batching ----------------
     // The 8-window scan above, now on the client side. `vo_bytes` is the
-    // scan's wire size under the deduplicating v2 encoding (shared intern
-    // table across all windows) with the per-window v1 total as its twin;
+    // scan's stream size (one intern table shared across all windows);
     // `client_verify_window_us` is the per-window mean of streamed
-    // verification with one cross-window pairing batch, with the per-block
-    // path (decode the window's v1 bytes, then one RLC flush per window) as
-    // its twin — both twins start from wire bytes, the position a real
-    // client is in; peak buffer is the streaming client's high-water
-    // memory. Byte-count entries ride the `us_per_iter` field, like
-    // `sp_serve_qps` rides it for a rate.
+    // verification with one cross-window pairing batch, starting from wire
+    // bytes, the position a real client is in; peak buffer is the
+    // streaming client's high-water memory. Byte-count entries ride the
+    // `us_per_iter` field, like `sp_serve_qps` rides it for a rate.
     let scan_responses = sp.time_window_queries(&windows);
-    let v1_total: usize =
-        scan_responses.iter().map(|r| vchain_core::wire::encode_response(r).len()).sum();
-    let v2_total = vchain_core::wire::encode_scan_v2(&scan_responses).len();
+    let scan_stream = encode_scan_stream(&scan_responses);
+    let windows_total: usize = scan_responses.iter().map(|r| encode_response_stream(r).len()).sum();
     eprintln!(
-        "[bench-smoke] vo_bytes: v2 scan {} vs v1 total {} ({:.1}% saved)",
-        v2_total,
-        v1_total,
-        100.0 * (1.0 - v2_total as f64 / v1_total as f64)
+        "[bench-smoke] vo_bytes: scan stream {} vs {} for its windows' one-window streams \
+         ({:.1}% saved)",
+        scan_stream.len(),
+        windows_total,
+        100.0 * (1.0 - scan_stream.len() as f64 / windows_total as f64)
     );
     assert!(
-        5 * v2_total < 4 * v1_total,
-        "scan-level v2 encoding must stay >=20% below the v1 total \
-         (v2={v2_total}, v1={v1_total})"
+        5 * scan_stream.len() < 4 * windows_total,
+        "the scan stream must stay >=20% below its windows' one-window streams \
+         (scan={}, windows={windows_total})",
+        scan_stream.len()
     );
-    timings.push(Timing { name: "vo_bytes", iters: 1, us_per_iter: v2_total as f64 });
-    timings.push(Timing { name: "vo_bytes_v1", iters: 1, us_per_iter: v1_total as f64 });
+    timings.push(Timing { name: "vo_bytes", iters: 1, us_per_iter: scan_stream.len() as f64 });
 
-    let scan_stream = vchain_core::wire::encode_scan_stream(&scan_responses);
     let n_windows = windows.len() as f64;
     let stream_scan = || {
-        let mut sv = vchain_core::client::StreamVerifier::new(
+        let mut sv = StreamVerifier::new(
             windows.clone(),
             scan_light.clone(),
             scan_cfg,
             sp_acc.clone(),
-            vchain_core::client::PipelineMode::Inline,
+            PipelineMode::Inline,
         );
         for chunk in scan_stream.chunks(4096) {
             sv.feed(chunk).expect("honest stream feeds");
@@ -381,32 +383,10 @@ fn main() {
         sv.finish().expect("honest stream verifies")
     };
     let t_batched = time("client_verify_window_scan", 3, stream_scan);
-    let v1_encoded: Vec<Vec<u8>> =
-        scan_responses.iter().map(vchain_core::wire::encode_response).collect();
-    let t_per_block = time("client_verify_window_scan_per_block", 3, || {
-        for (q, bytes) in windows.iter().zip(&v1_encoded) {
-            let resp =
-                vchain_core::wire::decode_response(&sp_acc, bytes).expect("honest window decodes");
-            vchain_core::verify::verify_response(q, &resp, &scan_light, &scan_cfg, &sp_acc)
-                .expect("honest window verifies");
-        }
-    });
-    assert!(
-        t_batched.us_per_iter < t_per_block.us_per_iter,
-        "cross-window batching must beat the per-block flush path \
-         ({:.0} µs vs {:.0} µs)",
-        t_batched.us_per_iter,
-        t_per_block.us_per_iter
-    );
     timings.push(Timing {
         name: "client_verify_window_us",
         iters: t_batched.iters,
         us_per_iter: t_batched.us_per_iter / n_windows,
-    });
-    timings.push(Timing {
-        name: "client_verify_window_per_block_us",
-        iters: t_per_block.iters,
-        us_per_iter: t_per_block.us_per_iter / n_windows,
     });
     let (_, stream_stats) = stream_scan();
     assert!(

@@ -38,7 +38,7 @@ use vchain_bench::{build_chain, shared_acc2};
 use vchain_core::miner::IndexScheme;
 use vchain_core::query::CompiledQuery;
 use vchain_core::sp::ServiceProvider;
-use vchain_core::wire::encode_response;
+use vchain_core::wire::encode_response_stream;
 use vchain_core::{ShardedConfig, ShardedServiceProvider};
 use vchain_datagen::{Dataset, WorkloadSpec};
 use vchain_hash::{hash_bytes, Digest};
@@ -80,7 +80,7 @@ fn replay(
                         let t0 = Instant::now();
                         let resp = ssp.query(q);
                         let us = t0.elapsed().as_micros() as u64;
-                        out.push((i, us, hash_bytes(&encode_response(&resp))));
+                        out.push((i, us, hash_bytes(&encode_response_stream(&resp))));
                     }
                     out
                 })

@@ -11,8 +11,8 @@
 //! the cross-block aggregation used by the lazy subscription path (§7.2).
 //!
 //! Verifier-side, the dual of this SP-side aggregation is the deferred
-//! RLC pairing batch [`crate::verify::DisjointBatch`]: all of a response's
-//! — or, via [`crate::client::WindowScan`], an entire multi-window scan's —
+//! RLC pairing batch of [`crate::verify`]: all of a response's — or, in
+//! the streamed client ([`crate::client`]), an entire multi-window scan's —
 //! disjointness checks flush as one aggregated multi-pairing.
 
 // Aggregation feeds verifier-side checks; keep it panic-free.

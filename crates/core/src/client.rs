@@ -13,16 +13,17 @@
 //! ```text
 //!   transport chunks ──▶ StreamDecoder ──(bounded channel)──▶ WindowScan
 //!        caller thread   frame reassembly                     verify entries
-//!                        + v2 slot decode      worker thread  + one batch flush
+//!                        + slot decode         worker thread  + one batch flush
 //! ```
 //!
 //! The second pillar is *cross-block batching across windows*: every
 //! disjointness proof of every block of every window defers into one
-//! shared [`DisjointBatch`] ([`WindowScan`]), so an 8-window scan pays a
-//! single aggregated pairing flush instead of eight.
+//! shared pairing batch, so an 8-window scan pays a single aggregated
+//! pairing flush instead of eight.
 //!
-//! The codec is version-negotiated end to end — a v2-speaking client keeps
-//! accepting v1 bytes:
+//! A single window response is a one-window stream, and
+//! [`crate::verify::verify_encoded_response`] is this pipeline fed in one
+//! chunk:
 //!
 //! ```
 //! # use rand::rngs::StdRng;
@@ -42,20 +43,16 @@
 //! # let sp = miner.into_service_provider();
 //! # let q = Query { time_window: Some((0, 40)), ranges: vec![], keywords: vec![vec!["Sedan".into()]] }
 //! #     .compile(cfg.domain_bits);
-//! use vchain_core::verify::verify_encoded_response;
-//! use vchain_core::wire::{decode_response_auto, encode_response, encode_response_v2, WireVersion};
+//! use vchain_core::verify::{verify_encoded_response, VerifyError};
+//! use vchain_core::wire::encode_response_stream;
 //!
-//! let resp = sp.time_window_query(&q);
-//! let v1 = encode_response(&resp);
-//! let v2 = encode_response_v2(&resp);
-//! // the auto decoder dispatches on the version byte …
-//! assert_eq!(decode_response_auto(&acc, &v1).unwrap().1, WireVersion::V1);
-//! assert_eq!(decode_response_auto(&acc, &v2).unwrap().1, WireVersion::V2);
-//! // … so the one verification entry point accepts both encodings.
-//! let r1 = verify_encoded_response(&q, &v1, &light, &cfg, &acc).unwrap();
-//! let r2 = verify_encoded_response(&q, &v2, &light, &cfg, &acc).unwrap();
-//! assert_eq!(r1, r2);
-//! assert_eq!(r1.len(), 1);
+//! let bytes = encode_response_stream(&sp.time_window_query(&q));
+//! let results = verify_encoded_response(&q, &bytes, &light, &cfg, &acc).unwrap();
+//! assert_eq!(results.len(), 1);
+//! // A stream cut short in transit is a typed rejection, never a panic.
+//! let cut = &bytes[..bytes.len() - 1];
+//! let e = verify_encoded_response(&q, cut, &light, &cfg, &acc).unwrap_err();
+//! assert!(matches!(e, VerifyError::Malformed(_)));
 //! ```
 
 // Like `verify`, this module runs on attacker-shaped input (the decoded
@@ -73,7 +70,7 @@ use vchain_chain::{LightClient, Object};
 use crate::miner::MinerConfig;
 use crate::query::CompiledQuery;
 use crate::verify::{DisjointBatch, VerifyError, WindowVerifier};
-use crate::vo::{BlockCoverage, QueryResponse};
+use crate::vo::BlockCoverage;
 use crate::wire::{StreamDecoder, StreamEvent, WireError};
 
 /// How many decoded-but-unverified coverage entries the pipeline may hold
@@ -117,53 +114,11 @@ pub struct StreamStats {
     pub windows: usize,
 }
 
-/// Cross-window verification driver: verifies a sequence of window
-/// responses while folding *all* their deferred pairing checks into one
-/// shared [`DisjointBatch`], flushed once in [`WindowScan::finish`] — an
-/// 8-window scan costs one aggregated multi-pairing instead of eight.
-///
-/// ```
-/// # use rand::rngs::StdRng;
-/// # use rand::SeedableRng;
-/// # use vchain_acc::{Acc2, Accumulator};
-/// # use vchain_chain::{Difficulty, LightClient, Object};
-/// # use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
-/// # use vchain_core::query::Query;
-/// # let cfg = MinerConfig { scheme: IndexScheme::Both, skip_levels: 3, domain_bits: 8,
-/// #                         difficulty: Difficulty(0), bloom_bits_per_key: 10 };
-/// # let acc = Acc2::keygen(256, &mut StdRng::seed_from_u64(7));
-/// # let mut miner = Miner::new(cfg, acc.clone());
-/// # miner.mine_block(10, vec![Object::new(1, 10, vec![220], vec!["Sedan".into()])]);
-/// # miner.mine_block(20, vec![Object::new(2, 20, vec![95], vec!["Van".into()])]);
-/// # miner.mine_block(30, vec![Object::new(3, 30, vec![230], vec!["Sedan".into()])]);
-/// # let mut light = LightClient::new(cfg.difficulty);
-/// # for h in miner.headers() { light.sync_header(h).unwrap(); }
-/// # let sp = miner.into_service_provider();
-/// use vchain_core::client::WindowScan;
-///
-/// // Two overlapping windows over the same chain.
-/// let queries: Vec<_> = [(0u64, 25u64), (15, 40)]
-///     .iter()
-///     .map(|&(ts, te)| {
-///         Query { time_window: Some((ts, te)), ranges: vec![], keywords: vec![vec!["Sedan".into()]] }
-///             .compile(cfg.domain_bits)
-///     })
-///     .collect();
-/// let responses: Vec<_> = queries.iter().map(|q| sp.time_window_query(q)).collect();
-///
-/// let mut scan = WindowScan::new(queries, light.clone(), cfg);
-/// for resp in &responses {
-///     scan.verify_response(&acc, resp).unwrap();
-/// }
-/// // Both windows' disjointness proofs are still pending in ONE batch …
-/// assert!(scan.pending_checks() > 0);
-/// // … and finish() pays a single aggregated pairing flush for all of them.
-/// let per_window = scan.finish(&acc).unwrap();
-/// assert_eq!(per_window.len(), 2);
-/// assert_eq!(per_window[0].len(), 1); // the t=10 Sedan
-/// assert_eq!(per_window[1].len(), 1); // the t=30 Sedan
-/// ```
-pub struct WindowScan<A: Accumulator> {
+/// Cross-window verification: checks a stream's windows entry by entry
+/// while folding *all* their deferred pairing checks into one shared
+/// [`DisjointBatch`], flushed once in [`WindowScan::finish`] — an 8-window
+/// scan costs one aggregated multi-pairing instead of eight.
+pub(crate) struct WindowScan<A: Accumulator> {
     queries: Vec<CompiledQuery>,
     light: LightClient,
     cfg: MinerConfig,
@@ -177,7 +132,7 @@ impl<A: Accumulator> WindowScan<A> {
     /// A scan over `queries`, one window per query, verified against
     /// `light`'s headers. The scan owns its copies so it can live on a
     /// worker thread (`'static`).
-    pub fn new(queries: Vec<CompiledQuery>, light: LightClient, cfg: MinerConfig) -> Self {
+    pub(crate) fn new(queries: Vec<CompiledQuery>, light: LightClient, cfg: MinerConfig) -> Self {
         Self {
             queries,
             light,
@@ -187,17 +142,6 @@ impl<A: Accumulator> WindowScan<A> {
             current_idx: 0,
             results: Vec::new(),
         }
-    }
-
-    /// Number of windows in the scan.
-    pub fn windows(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Deferred pairing checks accumulated so far across all closed and
-    /// open windows — everything [`WindowScan::finish`] will flush at once.
-    pub fn pending_checks(&self) -> usize {
-        self.batch.len() + self.current.as_ref().map(WindowVerifier::pending_checks).unwrap_or(0)
     }
 
     fn open_current(&mut self) -> Result<&mut WindowVerifier<'static, A>, VerifyError> {
@@ -233,7 +177,7 @@ impl<A: Accumulator> WindowScan<A> {
 
     /// Verify one streamed coverage entry belonging to window `window`
     /// (monotonically non-decreasing, as the stream format guarantees).
-    pub fn entry(
+    pub(crate) fn entry(
         &mut self,
         acc: &A,
         window: usize,
@@ -251,46 +195,10 @@ impl<A: Accumulator> WindowScan<A> {
         self.open_current()?.entry(acc, cov, block_results)
     }
 
-    /// Verify a whole response as the scan's next window (the non-streamed
-    /// flavour: same structural and hash checks as
-    /// [`crate::verify::verify_response`], but the pairing checks join the
-    /// shared cross-window batch instead of flushing per response).
-    pub fn verify_response(
-        &mut self,
-        acc: &A,
-        response: &QueryResponse<A>,
-    ) -> Result<(), VerifyError> {
-        let results_by_height: std::collections::BTreeMap<u64, &Vec<Object>> =
-            response.results.iter().map(|(h, v)| (*h, v)).collect();
-        if results_by_height.len() != response.results.len() {
-            return Err(VerifyError::ResultIndexing { height: 0 });
-        }
-        let window = self.current_idx;
-        static EMPTY: Vec<Object> = Vec::new();
-        for cov in &response.coverage {
-            let block_results = match cov {
-                BlockCoverage::Block { height, .. } => {
-                    results_by_height.get(height).copied().unwrap_or(&EMPTY)
-                }
-                BlockCoverage::Skip { .. } => &EMPTY,
-            };
-            self.entry(acc, window, cov, block_results)?;
-        }
-        // Close immediately so result-smuggling across heights is caught
-        // with the window's own expected set.
-        let expected = self.open_current()?.expected().clone();
-        for h in results_by_height.keys() {
-            if !expected.contains(h) {
-                return Err(VerifyError::ResultIndexing { height: *h });
-            }
-        }
-        self.close_current()
-    }
-
     /// Close any remaining windows, flush the one shared pairing batch,
     /// and return each window's verified results. Until this returns `Ok`,
     /// no result of any window is trustworthy.
-    pub fn finish(mut self, acc: &A) -> Result<Vec<Vec<Object>>, VerifyError> {
+    pub(crate) fn finish(mut self, acc: &A) -> Result<Vec<Vec<Object>>, VerifyError> {
         while self.current_idx < self.queries.len() {
             self.close_current()?;
         }

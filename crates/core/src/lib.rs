@@ -20,9 +20,9 @@
 //!   soundness and completeness against block headers alone.
 //! * [`batch`] — online batch verification via `Sum`/`ProofSum` (§6.3).
 //! * [`client`] / [`wire`] — the light client's streamed verification
-//!   pipeline: frame-by-frame VO delivery with bounded buffering, the
-//!   deduplicating v2 wire encoding, and cross-window pairing batching
-//!   (see `docs/LIGHT_CLIENT.md`).
+//!   pipeline: the one VO wire format (a deduplicating frame stream),
+//!   frame-by-frame delivery with bounded buffering, and cross-window
+//!   pairing batching (see `docs/LIGHT_CLIENT.md`).
 //! * [`subscribe`] / [`iptree`] — verifiable subscription queries with the
 //!   inverted prefix tree (§7.1, Algorithms 6/7) and lazy authentication
 //!   (§7.2, Algorithm 5).
@@ -55,7 +55,7 @@ pub mod wire;
 pub use adversary::Adversary;
 pub use bloom::{AttributeBloom, BloomKey};
 pub use cache::{CacheKey, CacheStats, DirtyEntry, ProofCache};
-pub use client::{PipelineMode, StreamStats, StreamVerifier, WindowScan};
+pub use client::{PipelineMode, StreamStats, StreamVerifier};
 pub use element::{Element, ElementId};
 pub use inter::{SkipEntry, SkipList};
 pub use intra::{IntraNodeKind, IntraTree};
@@ -71,13 +71,9 @@ pub use subscribe::verify_encoded_subscription_update;
 pub use subscribe::{
     BlockMatch, SubscriptionEngine, SubscriptionMode, SubscriptionUpdate, WalkStrategy,
 };
-pub use verify::{
-    verify_encoded_response, verify_response, DisjointBatch, VerifyError, WindowVerifier,
-};
+pub use verify::{verify_encoded_response, verify_response, VerifyError};
 pub use vo::{BlockCoverage, ClauseRef, QueryResponse, VoNode, VoSize};
 pub use wire::{
-    decode_bloom, decode_response, decode_response_auto, decode_response_v2, decode_scan_v2,
-    decode_update, encode_bloom, encode_response, encode_response_stream, encode_response_v2,
-    encode_scan_stream, encode_scan_v2, encode_update, StreamDecoder, StreamEvent, WireError,
-    WireVersion, MAX_FRAME_BYTES, MAX_VO_DEPTH,
+    decode_bloom, decode_update, encode_bloom, encode_response_stream, encode_scan_stream,
+    encode_update, StreamDecoder, StreamEvent, WireError, MAX_FRAME_BYTES, MAX_VO_DEPTH,
 };

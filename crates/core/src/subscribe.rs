@@ -31,6 +31,7 @@
 //! [`SubscriptionEngine::publish`] expose the two halves separately so the
 //! match stage can be measured and tested without materializing updates.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use vchain_acc::{AccError, Accumulator, MultiSet};
@@ -45,8 +46,8 @@ use crate::iptree::{Cell, IpTree, QueryId};
 use crate::miner::{IndexScheme, IndexedBlock, MinerConfig};
 use crate::query::{CompiledQuery, Query};
 use crate::subindex::SubscriptionIndex;
-use crate::verify::{verify_with_expected, VerifyError};
-use crate::vo::{BlockCoverage, BlockVo, ClauseRef, MismatchProof, QueryResponse, VoNode};
+use crate::verify::{VerifyError, WindowVerifier};
+use crate::vo::{BlockCoverage, BlockVo, ClauseRef, MismatchProof, VoNode};
 
 /// Publication policy (paper §7.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,13 +75,6 @@ pub struct SubscriptionUpdate<A: Accumulator> {
     pub coverage: Vec<BlockCoverage<A>>,
 }
 
-impl<A: Accumulator> SubscriptionUpdate<A> {
-    /// View the update as a standard query response (for verification).
-    pub fn response(&self) -> QueryResponse<A> {
-        QueryResponse { results: self.results.clone(), coverage: self.coverage.clone() }
-    }
-}
-
 /// Verify a subscription update against the light client's headers: the
 /// same soundness/completeness machinery as time-window queries, with the
 /// expected coverage being the update's height interval.
@@ -104,7 +98,9 @@ pub fn verify_subscription_update<A: Accumulator>(
         });
     }
     let expected = (update.from_height..=update.to_height).collect();
-    verify_with_expected(q, &update.response(), light, cfg, acc, expected)
+    let mut v = WindowVerifier::new(Cow::Borrowed(q), Cow::Borrowed(light), *cfg, expected);
+    v.response(acc, &update.results, &update.coverage)?;
+    v.finish(acc)
 }
 
 /// Verify a subscription update straight from untrusted wire bytes:

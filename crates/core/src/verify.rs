@@ -19,11 +19,11 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use vchain_acc::{Accumulator, MultiSet};
+use vchain_acc::Accumulator;
 use vchain_chain::{LightClient, Object};
 use vchain_hash::{hash_pair, Digest};
 
-use crate::element::ElementId;
+use crate::client::{PipelineMode, StreamVerifier};
 use crate::inter::{level_hash_from_parts, pre_skipped_hash, skiplist_root_from_hashes};
 use crate::intra::{internal_hash, leaf_hash};
 use crate::miner::{IndexScheme, MinerConfig};
@@ -124,11 +124,10 @@ impl core::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verify a time-window query response straight from untrusted wire bytes:
-/// structural decode ([`crate::wire`]) then full verification. This is the
-/// light client's network-facing entry point — no input can panic it.
-/// Accepts both wire codec versions ([`crate::wire::decode_response_auto`]),
-/// so a v2-speaking client keeps interoperating with a v1-encoding SP.
+/// Verify a time-window query response straight from untrusted wire bytes
+/// (a one-window [`crate::wire::encode_response_stream`]): the streamed
+/// pipeline of [`crate::client::StreamVerifier`], fed in one chunk. This is
+/// the light client's network-facing entry point — no input can panic it.
 pub fn verify_encoded_response<A: Accumulator>(
     q: &CompiledQuery,
     bytes: &[u8],
@@ -136,13 +135,15 @@ pub fn verify_encoded_response<A: Accumulator>(
     cfg: &MinerConfig,
     acc: &A,
 ) -> Result<Vec<Object>, VerifyError> {
-    let (response, _version) =
-        crate::wire::decode_response_auto(acc, bytes).map_err(VerifyError::Malformed)?;
-    verify_response(q, &response, light, cfg, acc)
+    let mode = PipelineMode::Inline;
+    let mut v = StreamVerifier::for_query(q.clone(), light.clone(), *cfg, acc.clone(), mode);
+    v.feed(bytes)?;
+    let (windows, _) = v.finish()?;
+    Ok(windows.into_iter().flatten().collect())
 }
 
 /// Verify a time-window query response against the light client's headers.
-/// On success returns the verified result objects (newest block first).
+/// On success returns the verified result objects (coverage order).
 pub fn verify_response<A: Accumulator>(
     q: &CompiledQuery,
     response: &QueryResponse<A>,
@@ -150,16 +151,9 @@ pub fn verify_response<A: Accumulator>(
     cfg: &MinerConfig,
     acc: &A,
 ) -> Result<Vec<Object>, VerifyError> {
-    let (ts, te) = q.time_window.ok_or(VerifyError::MissingWindow)?;
-
-    // Expected coverage: every known block whose timestamp is in-window.
-    let expected: BTreeSet<u64> = light
-        .headers()
-        .iter()
-        .filter(|h| h.timestamp >= ts && h.timestamp <= te)
-        .map(|h| h.height)
-        .collect();
-    verify_with_expected(q, response, light, cfg, acc, expected)
+    let mut v = WindowVerifier::for_window(Cow::Borrowed(q), Cow::Borrowed(light), *cfg)?;
+    v.response(acc, &response.results, &response.coverage)?;
+    v.finish(acc)
 }
 
 /// Deferred disjointness checks, collected across whole responses — and,
@@ -174,7 +168,7 @@ pub fn verify_response<A: Accumulator>(
 /// ([`vchain_acc::Accumulator::batch_verify_disjoint_attributed_ctx`]):
 /// the *cross-block transcript*. Coefficients are verifier-local, so this
 /// binding changes nothing on the wire.
-pub struct DisjointBatch<A: Accumulator> {
+pub(crate) struct DisjointBatch<A: Accumulator> {
     items: Vec<(A::Value, A::Value, A::Proof)>,
     heights: Vec<u64>,
 }
@@ -187,32 +181,22 @@ impl<A: Accumulator> Default for DisjointBatch<A> {
 
 impl<A: Accumulator> DisjointBatch<A> {
     /// An empty batch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { items: Vec::new(), heights: Vec::new() }
     }
 
     /// Defer one disjointness check `e(a1, a2) ≟ e(proof-side)` attributed
     /// to `height` for error reporting and transcript binding.
-    pub fn push(&mut self, a1: A::Value, a2: A::Value, proof: A::Proof, height: u64) {
+    pub(crate) fn push(&mut self, a1: A::Value, a2: A::Value, proof: A::Proof, height: u64) {
         self.items.push((a1, a2, proof));
         self.heights.push(height);
     }
 
     /// Merge another batch into this one (used by the window scan to fold
     /// per-window batches into one cross-window flush).
-    pub fn append(&mut self, mut other: DisjointBatch<A>) {
+    pub(crate) fn append(&mut self, mut other: DisjointBatch<A>) {
         self.items.append(&mut other.items);
         self.heights.append(&mut other.heights);
-    }
-
-    /// Deferred checks currently held.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the batch holds no deferred checks.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// The cross-block transcript context: the covered heights, length
@@ -231,7 +215,7 @@ impl<A: Accumulator> DisjointBatch<A> {
     /// coefficients derived once — see
     /// [`vchain_acc::Accumulator::batch_verify_disjoint_attributed_ctx`])
     /// so the error still names the offending height.
-    pub fn flush(self, acc: &A) -> Result<(), VerifyError> {
+    pub(crate) fn flush(self, acc: &A) -> Result<(), VerifyError> {
         let ctx = self.context();
         acc.batch_verify_disjoint_attributed_ctx(&ctx, &self.items).map_err(|i| {
             VerifyError::BadProof { height: self.heights.get(i).copied().unwrap_or(0) }
@@ -239,19 +223,20 @@ impl<A: Accumulator> DisjointBatch<A> {
     }
 }
 
-/// Incremental window verification: the per-coverage-entry core of
-/// [`verify_with_expected`], factored out so callers can drive it one
-/// entry at a time — which is exactly what the streamed pipeline
-/// (`core::client`) needs to verify block *i* while block *i + 1* is still
-/// being decoded.
+/// The verifier core: checks one window's coverage entries one at a time,
+/// deferring every pairing check into a [`DisjointBatch`]. The streamed
+/// pipeline (`core::client`) drives it entry by entry, so block *i* is
+/// verified while block *i + 1* is still being decoded; whole typed
+/// responses and subscription updates go through
+/// [`WindowVerifier::response`].
 ///
-/// Borrows are [`Cow`]s: the batch path ([`verify_with_expected`]) passes
-/// borrowed query/headers and pays zero clones; the streamed pipeline
-/// passes owned copies, giving a `WindowVerifier<'static, A>` it can move
-/// into a worker thread. The accumulator is *not* stored — every method
-/// takes it by reference — so the verifier stays `Send` whenever the
-/// accumulator's value/proof types are.
-pub struct WindowVerifier<'a, A: Accumulator> {
+/// Borrows are [`Cow`]s: the typed entry points pass borrowed
+/// query/headers and pay zero clones; the streamed pipeline passes owned
+/// copies, giving a `WindowVerifier<'static, A>` it can move into a worker
+/// thread. The accumulator is *not* stored — every method takes it by
+/// reference — so the verifier stays `Send` whenever the accumulator's
+/// value/proof types are.
+pub(crate) struct WindowVerifier<'a, A: Accumulator> {
     q: Cow<'a, CompiledQuery>,
     light: Cow<'a, LightClient>,
     cfg: MinerConfig,
@@ -266,7 +251,7 @@ pub struct WindowVerifier<'a, A: Accumulator> {
 impl<'a, A: Accumulator> WindowVerifier<'a, A> {
     /// A verifier over an explicit expected-coverage set (the subscription
     /// entry point; window queries use [`WindowVerifier::for_window`]).
-    pub fn new(
+    pub(crate) fn new(
         q: Cow<'a, CompiledQuery>,
         light: Cow<'a, LightClient>,
         cfg: MinerConfig,
@@ -285,11 +270,10 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
         }
     }
 
-    /// A verifier whose expected coverage is derived from the query's time
-    /// window against the light client's headers — the same derivation as
-    /// [`verify_response`]. Errors with [`VerifyError::MissingWindow`] on a
-    /// windowless (subscription) query.
-    pub fn for_window(
+    /// A verifier whose expected coverage is every known block whose
+    /// timestamp lies in the query's time window. Errors with
+    /// [`VerifyError::MissingWindow`] on a windowless (subscription) query.
+    pub(crate) fn for_window(
         q: Cow<'a, CompiledQuery>,
         light: Cow<'a, LightClient>,
         cfg: MinerConfig,
@@ -304,22 +288,11 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
         Ok(Self::new(q, light, cfg, expected))
     }
 
-    /// The expected coverage set this verifier enforces.
-    pub fn expected(&self) -> &BTreeSet<u64> {
-        &self.expected
-    }
-
-    /// Deferred pairing checks collected so far (flushed or folded by the
-    /// finish flavours).
-    pub fn pending_checks(&self) -> usize {
-        self.batch.len()
-    }
-
     /// Verify one coverage entry. `block_results` are the claimed result
     /// objects for the entry's block (empty for skips). Defers all pairing
     /// checks into the internal batch; a returned error is terminal for the
     /// response.
-    pub fn entry(
+    pub(crate) fn entry(
         &mut self,
         acc: &A,
         cov: &BlockCoverage<A>,
@@ -412,6 +385,35 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
         }
     }
 
+    /// Verify a whole response — `results` keyed by height, `coverage` in
+    /// order — through [`WindowVerifier::entry`]. Errors name the offending
+    /// height, including a height `results` lists twice and a result list
+    /// (even an empty one) for a block outside the expected coverage.
+    pub(crate) fn response(
+        &mut self,
+        acc: &A,
+        results: &[(u64, Vec<Object>)],
+        coverage: &[BlockCoverage<A>],
+    ) -> Result<(), VerifyError> {
+        let mut by_height: BTreeMap<u64, &[Object]> = BTreeMap::new();
+        for (height, objs) in results {
+            if by_height.insert(*height, objs).is_some() {
+                return Err(VerifyError::ResultIndexing { height: *height });
+            }
+        }
+        if let Some(&height) = by_height.keys().find(|h| !self.expected.contains(h)) {
+            return Err(VerifyError::ResultIndexing { height });
+        }
+        for cov in coverage {
+            let block_results = match cov {
+                BlockCoverage::Block { height, .. } => by_height.get(height).copied(),
+                BlockCoverage::Skip { .. } => None,
+            };
+            self.entry(acc, cov, block_results.unwrap_or_default())?;
+        }
+        Ok(())
+    }
+
     /// The completeness checks shared by both finish flavours: every
     /// expected block covered, no results smuggled in for uncovered blocks.
     fn check_complete(&self) -> Result<(), VerifyError> {
@@ -428,7 +430,7 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
 
     /// Flush the deferred pairing batch, run the completeness checks, and
     /// return the verified results (coverage order).
-    pub fn finish(mut self, acc: &A) -> Result<Vec<Object>, VerifyError> {
+    pub(crate) fn finish(mut self, acc: &A) -> Result<Vec<Object>, VerifyError> {
         std::mem::take(&mut self.batch).flush(acc)?;
         self.check_complete()?;
         Ok(self.verified_results)
@@ -442,72 +444,24 @@ impl<'a, A: Accumulator> WindowVerifier<'a, A> {
     /// The returned results are *provisional* until the shared batch is
     /// flushed: the structural and hash-chain checks have all passed, but
     /// the disjointness proofs have not been pairing-checked yet.
-    pub fn finish_into(self, batch: &mut DisjointBatch<A>) -> Result<Vec<Object>, VerifyError> {
+    pub(crate) fn finish_into(
+        self,
+        batch: &mut DisjointBatch<A>,
+    ) -> Result<Vec<Object>, VerifyError> {
         self.check_complete()?;
         batch.append(self.batch);
         Ok(self.verified_results)
     }
 }
 
-/// Core verification against an explicit set of expected block heights —
-/// shared by time-window queries and subscription updates (§7), whose
-/// expected coverage is the interval since the last update. Drives a
-/// [`WindowVerifier`] over the response's coverage entries.
-pub fn verify_with_expected<A: Accumulator>(
-    q: &CompiledQuery,
-    response: &QueryResponse<A>,
-    light: &LightClient,
-    cfg: &MinerConfig,
-    acc: &A,
-    expected: BTreeSet<u64>,
-) -> Result<Vec<Object>, VerifyError> {
-    let results_by_height: BTreeMap<u64, &Vec<Object>> =
-        response.results.iter().map(|(h, v)| (*h, v)).collect();
-    if results_by_height.len() != response.results.len() {
-        return Err(VerifyError::ResultIndexing { height: 0 });
-    }
-
-    let mut verifier = WindowVerifier::new(Cow::Borrowed(q), Cow::Borrowed(light), *cfg, expected);
-    static EMPTY: Vec<Object> = Vec::new();
-    for cov in &response.coverage {
-        let block_results = match cov {
-            BlockCoverage::Block { height, .. } => {
-                results_by_height.get(height).copied().unwrap_or(&EMPTY)
-            }
-            BlockCoverage::Skip { .. } => &EMPTY,
-        };
-        verifier.entry(acc, cov, block_results)?;
-    }
-
-    let expected = verifier.expected().clone();
-    let verified_results = verifier.finish(acc)?;
-
-    // No results smuggled in for uncovered blocks — including height keys
-    // that carry an *empty* object list, which the entry-level bookkeeping
-    // above cannot see.
-    for h in results_by_height.keys() {
-        if !expected.contains(h) {
-            return Err(VerifyError::ResultIndexing { height: *h });
-        }
-    }
-
-    Ok(verified_results)
-}
-
 /// A cache of clause accumulator values. Clause sets are query-side and
 /// reused across blocks, so the verifier computes each `acc(ϒᵢ)` once.
-pub struct ClauseCache<A: Accumulator>(HashMap<ClauseKey, A::Value>);
+pub(crate) struct ClauseCache<A: Accumulator>(HashMap<ClauseKey, A::Value>);
 
 impl<A: Accumulator> ClauseCache<A> {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self(HashMap::new())
-    }
-}
-
-impl<A: Accumulator> Default for ClauseCache<A> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -526,7 +480,7 @@ fn clause_key(c: &ClauseRef) -> ClauseKey {
 
 /// Resolve a clause reference to its accumulator value, caching by key.
 /// `None` when the reference is not valid for this query.
-pub fn resolve_clause<A: Accumulator>(
+pub(crate) fn resolve_clause<A: Accumulator>(
     acc: &A,
     q: &CompiledQuery,
     clause: &ClauseRef,
@@ -544,26 +498,8 @@ pub fn resolve_clause<A: Accumulator>(
     Some(v)
 }
 
-/// Verify one block VO and return the reconstructed ADS root. Standalone
-/// entry point: runs its own (per-block) pairing batch. Response-level
-/// verification uses [`verify_with_expected`], which batches across blocks.
-pub fn verify_block_vo<A: Accumulator>(
-    vo: &BlockVo<A>,
-    block_results: &[Object],
-    q: &CompiledQuery,
-    acc: &A,
-    height: u64,
-    cfg: &MinerConfig,
-    clause_cache: &mut ClauseCache<A>,
-) -> Result<Digest, VerifyError> {
-    let mut batch = DisjointBatch::new();
-    let root =
-        verify_block_vo_into(vo, block_results, q, acc, height, cfg, clause_cache, &mut batch)?;
-    batch.flush(acc)?;
-    Ok(root)
-}
-
-/// [`verify_block_vo`] with the pairing checks deferred into `batch`.
+/// Verify one block VO, deferring its pairing checks into `batch`, and
+/// return the reconstructed ADS root.
 #[allow(clippy::too_many_arguments)]
 fn verify_block_vo_into<A: Accumulator>(
     vo: &BlockVo<A>,
@@ -705,10 +641,4 @@ fn check_mismatch_proof<A: Accumulator>(
             Ok(())
         }
     }
-}
-
-/// Verify a clause reference alone resolves to a valid multiset for `q`
-/// (exported for subscription verification).
-pub fn clause_multiset(q: &CompiledQuery, clause: &ClauseRef) -> Option<MultiSet<ElementId>> {
-    clause.resolve(q).ok()
 }

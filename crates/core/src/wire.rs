@@ -22,6 +22,11 @@
 //!   input re-encodes byte-identically (there is exactly one encoding per
 //!   value), so byte strings can be hashed or compared in place of values.
 //!
+//! There is one VO format, the frame stream ([`encode_scan_stream`],
+//! decoded incrementally by [`StreamDecoder`]); a single response is a
+//! one-window stream. Subscription updates ([`encode_update`]) and per-block
+//! Bloom filters ([`encode_bloom`]) have their own one-shot codecs.
+//!
 //! The encoders are infallible: they serialize honestly-constructed values
 //! (the SP side). The decoders are the adversarial surface.
 
@@ -44,17 +49,18 @@ use crate::vo::{
     BlockCoverage, BlockVo, ClauseRef, GroupProof, MismatchProof, QueryResponse, VoNode,
 };
 
-/// Wire-format version byte; the first byte of every encoded response.
+/// Version byte leading every encoded subscription update and Bloom
+/// filter (codecs that write every accumulator slot raw, in place).
 pub const WIRE_VERSION: u8 = 1;
 
-/// Version byte of the deduplicating v2 response encoding
-/// ([`encode_response_v2`]): shared accumulator values and repeated proof
-/// points are interned once into a per-response table and back-referenced
-/// by index everywhere else.
+/// Body codec byte of the VO stream's header frame: the interning slot
+/// codec, where shared accumulator values and repeated proof points are
+/// stored once in the stream's table and back-referenced by index
+/// everywhere else.
 pub const WIRE_VERSION_V2: u8 = 2;
 
-/// Version byte of the frame-stream envelope ([`encode_response_stream`]),
-/// carried in the header frame alongside the body codec version.
+/// Version byte of the frame-stream envelope ([`encode_scan_stream`]),
+/// carried in the header frame ahead of the body codec byte.
 pub const STREAM_VERSION: u8 = 1;
 
 /// Maximum accepted payload length of one stream frame. The decoder
@@ -79,7 +85,9 @@ pub enum WireError {
         /// Bytes actually left.
         remaining: usize,
     },
-    /// The leading version byte is not [`WIRE_VERSION`].
+    /// A version byte names a codec this build does not speak: the stream
+    /// header's [`STREAM_VERSION`] or body codec byte ([`WIRE_VERSION_V2`]),
+    /// or the leading [`WIRE_VERSION`] of an update or Bloom filter.
     UnsupportedVersion(u8),
     /// An enum tag byte has no corresponding variant.
     BadTag {
@@ -112,17 +120,18 @@ pub enum WireError {
         /// How many bytes were left over.
         count: usize,
     },
-    /// A v2 slot back-reference points past the end of the intern table.
+    /// A slot back-reference points past the end of the intern table.
     BackRefOutOfRange {
         /// The referenced table index.
         index: u32,
         /// The table's actual entry count.
         table: usize,
     },
-    /// A v2 encoding is structurally valid but not the one canonical form
-    /// the encoder produces (duplicate or unused table entries, an entry
-    /// referenced fewer than twice, out-of-order first use, or an inline
-    /// slot that repeats earlier bytes instead of back-referencing).
+    /// A stream is structurally valid but not the one canonical form the
+    /// encoder produces (duplicate or unused table entries, an entry
+    /// referenced fewer than twice, out-of-order first use, an inline slot
+    /// that repeats earlier bytes instead of back-referencing, or a window
+    /// that covers one block twice).
     NonCanonical {
         /// Which canonical-form rule was violated.
         what: &'static str,
@@ -174,7 +183,7 @@ impl core::fmt::Display for WireError {
                 write!(f, "slot back-reference {index} outside the {table}-entry intern table")
             }
             WireError::NonCanonical { what } => {
-                write!(f, "non-canonical v2 encoding: {what}")
+                write!(f, "non-canonical VO stream: {what}")
             }
             WireError::FrameOversized { len } => {
                 write!(f, "stream frame claims {len} bytes, cap is {MAX_FRAME_BYTES}")
@@ -360,10 +369,9 @@ fn get_proof<A: Accumulator>(r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, Wi
 //
 // Every structural codec below (nodes, mismatches, coverage) is generic
 // over a *slot codec* — the one place an accumulator value or proof slot
-// becomes bytes. v1 writes every slot raw in place; v2 tags each slot and
-// back-references repeated byte strings into a per-response intern table.
-// One set of body functions therefore serves both versions, and v1 output
-// stays byte-for-byte what it was before v2 existed.
+// becomes bytes. The update codec writes every slot raw in place; the VO
+// stream tags each slot and back-references repeated byte strings into its
+// intern table. One set of body functions serves both.
 
 /// Encode-side slot strategy.
 trait SlotWrite<A: Accumulator> {
@@ -377,7 +385,8 @@ trait SlotRead<A: Accumulator> {
     fn proof(&mut self, r: &mut Reader<'_>, acc: &A) -> Result<A::Proof, WireError>;
 }
 
-/// v1: every slot is its raw fixed-size bytes, in place.
+/// Raw slots (the update codec): every slot is its fixed-size bytes, in
+/// place.
 struct RawSlots;
 
 impl<A: Accumulator> SlotWrite<A> for RawSlots {
@@ -398,12 +407,12 @@ impl<A: Accumulator> SlotRead<A> for RawSlots {
     }
 }
 
-/// v2 slot tag: the slot's bytes follow inline (first/only occurrence).
+/// Interned slot tag: the slot's bytes follow inline (only occurrence).
 const SLOT_INLINE: u8 = 0;
-/// v2 slot tag: a `u32` index into the response's intern table follows.
+/// Interned slot tag: a `u32` index into the stream's intern table follows.
 const SLOT_BACKREF: u8 = 1;
 
-/// v2 encode pass 1: count every slot byte-string in encode order and
+/// Stream encode pass 1: count every slot byte-string in encode order and
 /// remember first-occurrence order. Writes nothing — the driver runs the
 /// body encoder into a scratch buffer that is discarded.
 #[derive(Default)]
@@ -439,7 +448,7 @@ impl<A: Accumulator> SlotWrite<A> for CountSlots {
     }
 }
 
-/// v2 encode pass 2: emit `SLOT_BACKREF ‖ u32 index` for interned strings,
+/// Stream encode pass 2: emit `SLOT_BACKREF ‖ u32 index` for interned strings,
 /// `SLOT_INLINE ‖ raw bytes` otherwise.
 struct InternSlots {
     index: HashMap<Vec<u8>, u32>,
@@ -479,8 +488,8 @@ impl<A: Accumulator> SlotWrite<A> for InternSlots {
     }
 }
 
-/// v2 decode: resolve tagged slots against the intern table while
-/// enforcing the canonical form (exactly one encoding per response):
+/// Stream decode: resolve tagged slots against the intern table while
+/// enforcing the canonical form (exactly one encoding per scan):
 ///
 /// * a back-reference must be in range, and first uses must walk the table
 ///   in order `0, 1, 2, …` — the order the encoder's first occurrences
@@ -507,7 +516,7 @@ struct TableSlots<A: Accumulator> {
 
 impl<A: Accumulator> TableSlots<A> {
     /// Parse the intern table (`u32 count`, then `u32 len ‖ bytes` per
-    /// entry) from the front of a v2 body or a stream header frame.
+    /// entry) from the stream's header frame.
     fn parse(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.count("intern table", 5)?;
         let mut raw = Vec::new();
@@ -594,11 +603,11 @@ impl<A: Accumulator> TableSlots<A> {
                 write_cache(self, i, v.clone());
                 Ok(v)
             }
-            tag => Err(WireError::BadTag { what: "v2 slot", tag }),
+            tag => Err(WireError::BadTag { what: "interned slot", tag }),
         }
     }
 
-    /// End-of-response canonicality: every table entry was first-used in
+    /// End-of-stream canonicality: every table entry was first-used in
     /// order (so all were used) and referenced at least twice.
     fn finish(&self) -> Result<(), WireError> {
         if self.first_unused != self.raw.len() {
@@ -841,9 +850,9 @@ fn get_block_vo<A: Accumulator, S: SlotRead<A>>(
     s: &mut S,
 ) -> Result<BlockVo<A>, WireError> {
     let root = get_node(r, acc, s, 0)?;
-    // A v2 back-referenced group proof is 5 bytes on the wire, so the
-    // count pre-check must use the smallest per-element size either slot
-    // form can take — still enough to bound allocation by input length.
+    // A back-referenced group proof is 5 bytes on the wire, so the count
+    // pre-check must use the smallest per-element size any slot form can
+    // take — still enough to bound allocation by input length.
     let n = r.count("batch groups", 2)?;
     let mut groups = Vec::new();
     for _ in 0..n {
@@ -938,56 +947,17 @@ fn get_results(r: &mut Reader<'_>) -> Result<Vec<(u64, Vec<Object>)>, WireError>
 }
 
 // ---------------------------------------------------------------------------
-// Top-level entry points
+// The VO stream
 // ---------------------------------------------------------------------------
 
-/// Serialize a time-window query response (SP side, infallible).
-pub fn encode_response<A: Accumulator>(response: &QueryResponse<A>) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.u8(WIRE_VERSION);
-    put_results(&mut w, &response.results);
-    w.count(response.coverage.len());
-    let mut slots = RawSlots;
-    for cov in &response.coverage {
-        put_coverage(&mut w, cov, &mut slots);
-    }
-    w.buf
-}
-
-/// Decode a time-window query response from untrusted bytes. `Ok` means
-/// the structure is well-formed and every point passed the curve ladder —
-/// the *cryptographic* checks still run in [`crate::verify`].
-pub fn decode_response<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<QueryResponse<A>, WireError> {
-    let mut r = Reader::new(bytes);
-    match r.u8()? {
-        WIRE_VERSION => {}
-        v => return Err(WireError::UnsupportedVersion(v)),
-    }
-    let results = get_results(&mut r)?;
-    let n_cov = r.count("coverage entries", 9)?;
-    let mut coverage = Vec::new();
-    let mut slots = RawSlots;
-    for _ in 0..n_cov {
-        coverage.push(get_coverage(&mut r, acc, &mut slots)?);
-    }
-    r.finish()?;
-    Ok(QueryResponse { results, coverage })
-}
-
-/// Collect the v2 intern table over one or more responses' coverage: run
-/// the body encoder once with a counting slot sink (output discarded) and
-/// keep every slot byte-string that occurs at least twice, in
-/// first-occurrence order.
-fn intern_table<A: Accumulator>(covs: &[&[BlockCoverage<A>]]) -> Vec<Vec<u8>> {
+/// Collect the intern table over every window's coverage: run the body
+/// encoder once with a counting slot sink (output discarded) and keep every
+/// slot byte-string that occurs at least twice, in first-occurrence order.
+fn intern_table<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<Vec<u8>> {
     let mut count = CountSlots::default();
-    let mut scratch = Writer::default();
-    for coverage in covs {
-        for cov in *coverage {
-            put_coverage(&mut scratch, cov, &mut count);
-        }
+    let mut discard = Writer::default();
+    for cov in responses.iter().flat_map(|r| &r.coverage) {
+        put_coverage(&mut discard, cov, &mut count);
     }
     count.into_table()
 }
@@ -1000,168 +970,35 @@ fn put_table(w: &mut Writer, table: &[Vec<u8>]) {
     }
 }
 
-/// Serialize a response in the deduplicating v2 format: shared accumulator
-/// values and repeated proof points are interned once into a per-response
-/// table and back-referenced by a 5-byte tag everywhere else. Exactly as
-/// canonical and total as v1 — [`decode_response_v2`] accepts precisely
-/// the byte strings this function produces, one per response.
+/// Append one frame, `u32 len ‖ u32 seq ‖ u8 tag ‖ body`.
+fn put_frame(w: &mut Writer, seq: u32, tag: u8, body: &[u8]) {
+    w.count(body.len().saturating_add(5));
+    w.u32(seq);
+    w.u8(tag);
+    w.bytes(body);
+}
+
+/// Serialize a scan — one or more window responses answered together — as
+/// the VO stream (SP side, infallible). This is the one VO wire format; a
+/// single response is a one-window stream ([`encode_response_stream`]).
 ///
-/// Repetition is the norm, not the exception: objects sharing an attribute
-/// set produce identical leaf AttDigests, mismatch proofs against the same
-/// clause repeat across blocks of a window, and §6.3 group proofs repeat
-/// across the response. See `docs/LIGHT_CLIENT.md` for the byte layout.
-pub fn encode_response_v2<A: Accumulator>(response: &QueryResponse<A>) -> Vec<u8> {
-    let table = intern_table(&[response.coverage.as_slice()]);
-    let mut w = Writer::default();
-    w.u8(WIRE_VERSION_V2);
-    put_table(&mut w, &table);
-    put_results(&mut w, &response.results);
-    w.count(response.coverage.len());
-    let mut slots = InternSlots::new(&table);
-    for cov in &response.coverage {
-        put_coverage(&mut w, cov, &mut slots);
-    }
-    w.buf
-}
-
-/// Decode a v2 ([`encode_response_v2`]) response from untrusted bytes.
-/// Total like v1, and *strictly* canonical: beyond structural validity,
-/// the intern table must be exactly the one the encoder would build
-/// (every entry used at least twice, first uses in table order, no inline
-/// repetition), so decode∘encode remains the identity on accepted inputs.
-pub fn decode_response_v2<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<QueryResponse<A>, WireError> {
-    let mut r = Reader::new(bytes);
-    match r.u8()? {
-        WIRE_VERSION_V2 => {}
-        v => return Err(WireError::UnsupportedVersion(v)),
-    }
-    let mut slots = TableSlots::<A>::parse(&mut r)?;
-    let results = get_results(&mut r)?;
-    let n_cov = r.count("coverage entries", 9)?;
-    let mut coverage = Vec::new();
-    for _ in 0..n_cov {
-        coverage.push(get_coverage(&mut r, acc, &mut slots)?);
-    }
-    slots.finish()?;
-    r.finish()?;
-    Ok(QueryResponse { results, coverage })
-}
-
-/// Serialize a multi-window *scan* — several window responses answered
-/// together — as one v2 unit with a single intern table shared across all
-/// of them. This is where deduplication earns its keep: overlapping
-/// windows re-cover the same blocks, so the same accumulator values and
-/// proofs recur across responses even when each response alone has few
-/// internal repeats. On the 8-window benchmark fixture the shared table
-/// drops total VO bytes by well over 20% relative to eight v1 encodings.
-pub fn encode_scan_v2<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
-    let covs: Vec<&[BlockCoverage<A>]> = responses.iter().map(|r| r.coverage.as_slice()).collect();
-    let table = intern_table::<A>(&covs);
-    let mut w = Writer::default();
-    w.u8(WIRE_VERSION_V2);
-    put_table(&mut w, &table);
-    w.count(responses.len());
-    let mut slots = InternSlots::new(&table);
-    for resp in responses {
-        put_results(&mut w, &resp.results);
-        w.count(resp.coverage.len());
-        for cov in &resp.coverage {
-            put_coverage(&mut w, cov, &mut slots);
-        }
-    }
-    w.buf
-}
-
-/// Decode an [`encode_scan_v2`] scan from untrusted bytes. Canonicality is
-/// enforced scan-wide: the intern table must be exactly the one the shared
-/// two-pass encoder would build over all the responses together.
-pub fn decode_scan_v2<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<Vec<QueryResponse<A>>, WireError> {
-    let mut r = Reader::new(bytes);
-    match r.u8()? {
-        WIRE_VERSION_V2 => {}
-        v => return Err(WireError::UnsupportedVersion(v)),
-    }
-    let mut slots = TableSlots::<A>::parse(&mut r)?;
-    let n_resp = r.count("scan responses", 8)?;
-    let mut responses = Vec::new();
-    for _ in 0..n_resp {
-        let results = get_results(&mut r)?;
-        let n_cov = r.count("coverage entries", 9)?;
-        let mut coverage = Vec::new();
-        for _ in 0..n_cov {
-            coverage.push(get_coverage(&mut r, acc, &mut slots)?);
-        }
-        responses.push(QueryResponse { results, coverage });
-    }
-    slots.finish()?;
-    r.finish()?;
-    Ok(responses)
-}
-
-/// Which codec version a [`decode_response_auto`] input carried.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireVersion {
-    /// The original raw-slot encoding ([`encode_response`]).
-    V1,
-    /// The deduplicating intern-table encoding ([`encode_response_v2`]).
-    V2,
-}
-
-/// Decode a response of either codec version, dispatching on the leading
-/// version byte — the client's compatibility entry point: a v2-speaking
-/// client keeps accepting responses from an SP that still encodes v1.
-/// Returns the version alongside the response so callers that re-encode
-/// (canonical-form checks, persistence) can stay version-faithful.
-pub fn decode_response_auto<A: Accumulator>(
-    acc: &A,
-    bytes: &[u8],
-) -> Result<(QueryResponse<A>, WireVersion), WireError> {
-    match bytes.first().copied() {
-        Some(WIRE_VERSION) => decode_response(acc, bytes).map(|r| (r, WireVersion::V1)),
-        Some(WIRE_VERSION_V2) => decode_response_v2(acc, bytes).map(|r| (r, WireVersion::V2)),
-        Some(v) => Err(WireError::UnsupportedVersion(v)),
-        None => Err(WireError::Truncated { needed: 1, remaining: 0 }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame streaming
-// ---------------------------------------------------------------------------
-
-/// Wrap one frame payload with its length prefix.
-fn frame(seq: u32, tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Writer::default();
-    out.count(body.len().saturating_add(5));
-    out.u32(seq);
-    out.u8(tag);
-    out.bytes(body);
-    out.buf
-}
-
-/// Serialize a scan (one or more window responses) as a sequence of
-/// self-delimiting frames (SP side): a header frame carrying the shared v2
-/// intern table and each window's entry count, then one frame per coverage
-/// entry with that block's result objects inlined. Each frame is
-/// `u32 len ‖ u32 seq ‖ u8 tag ‖ body`; the concatenation
-/// ([`encode_scan_stream`]) is what crosses the network, but the frames can
-/// also be shipped individually as transport packets arrive.
+/// The stream is a sequence of self-delimiting frames: a header frame
+/// carrying [`STREAM_VERSION`], the body codec byte [`WIRE_VERSION_V2`],
+/// each window's entry count and the scan-wide intern table, then one frame
+/// per coverage entry with that block's result objects inlined. Shared
+/// accumulator values and repeated proof points are interned once into the
+/// table and back-referenced by a 5-byte slot everywhere else. Repetition
+/// is the norm: objects sharing an attribute set produce identical leaf
+/// AttDigests, mismatch proofs against one clause repeat across blocks, and
+/// overlapping windows re-cover the same blocks.
 ///
-/// The framing exists so a light client can verify block *i* while block
-/// *i + 1* is still in flight, holding only one frame plus the table in
-/// memory — see [`StreamDecoder`] and `core::client`.
-pub fn encode_scan_frames<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<Vec<u8>> {
-    let covs: Vec<&[BlockCoverage<A>]> = responses.iter().map(|r| r.coverage.as_slice()).collect();
-    let table = intern_table::<A>(&covs);
+/// The framing lets a light client verify block *i* while block *i + 1* is
+/// still in flight, holding only one frame plus the table in memory — see
+/// [`StreamDecoder`] and `core::client`. `docs/LIGHT_CLIENT.md` has the
+/// byte layout.
+pub fn encode_scan_stream<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
+    let table = intern_table(responses);
     let mut slots = InternSlots::new(&table);
-
-    let total: usize = responses.iter().map(|r| r.coverage.len()).sum();
-    let mut frames = Vec::with_capacity(total + 1);
     let mut header = Writer::default();
     header.u8(STREAM_VERSION);
     header.u8(WIRE_VERSION_V2);
@@ -1170,42 +1007,29 @@ pub fn encode_scan_frames<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec
         header.count(resp.coverage.len());
     }
     put_table(&mut header, &table);
-    frames.push(frame(0, 0, &header.buf));
+    let mut out = Writer::default();
+    put_frame(&mut out, 0, 0, &header.buf);
 
     let mut seq = 0u32;
+    let mut body = Writer::default();
     for resp in responses {
         let results: HashMap<u64, &Vec<Object>> =
             resp.results.iter().map(|(h, v)| (*h, v)).collect();
         for cov in &resp.coverage {
-            let mut body = Writer::default();
+            body.buf.clear();
             put_coverage(&mut body, cov, &mut slots);
             if let BlockCoverage::Block { height, .. } = cov {
-                match results.get(height) {
-                    Some(objs) => {
-                        body.count(objs.len());
-                        for o in objs.iter() {
-                            put_object(&mut body, o);
-                        }
-                    }
-                    None => body.count(0),
+                let objs = results.get(height).map_or(&[][..], |v| v.as_slice());
+                body.count(objs.len());
+                for o in objs {
+                    put_object(&mut body, o);
                 }
             }
             seq = seq.saturating_add(1);
-            frames.push(frame(seq, 1, &body.buf));
+            put_frame(&mut out, seq, 1, &body.buf);
         }
     }
-    frames
-}
-
-/// [`encode_scan_frames`] for a single window response.
-pub fn encode_response_frames<A: Accumulator>(response: &QueryResponse<A>) -> Vec<Vec<u8>> {
-    encode_scan_frames(std::slice::from_ref(response))
-}
-
-/// [`encode_scan_frames`] concatenated into one byte string — the whole
-/// stream as it crosses the wire.
-pub fn encode_scan_stream<A: Accumulator>(responses: &[QueryResponse<A>]) -> Vec<u8> {
-    encode_scan_frames(responses).concat()
+    out.buf
 }
 
 /// [`encode_scan_stream`] for a single window response.
@@ -1241,8 +1065,9 @@ pub enum StreamEvent<A: Accumulator> {
     },
 }
 
-/// Incremental decoder for [`encode_response_stream`] bytes: feed chunks
-/// of any size as they arrive, get back fully-decoded coverage entries.
+/// Incremental decoder for [`encode_scan_stream`] bytes — the only VO
+/// decoder: feed chunks of any size as they arrive, get back fully-decoded
+/// coverage entries.
 ///
 /// Memory stays bounded by construction: only the bytes of the single
 /// incomplete frame are buffered (capped by [`MAX_FRAME_BYTES`] from the
@@ -1250,12 +1075,15 @@ pub enum StreamEvent<A: Accumulator> {
 /// resolution. Nothing is ever allocated from a claimed length before the
 /// bytes backing it have arrived.
 ///
-/// Every defense of the one-shot decoders applies per frame — checked
-/// point decodes, depth caps, count pre-checks, canonical slot rules — and
-/// the envelope adds its own: frames arrive in declared sequence order
-/// ([`WireError::FrameSequence`]), a stream that ends early is
+/// Every frame body gets the full set of defenses — checked point decodes,
+/// depth caps, count pre-checks, canonical slot rules — and the envelope
+/// adds its own: frames arrive in declared sequence order
+/// ([`WireError::FrameSequence`]), a window covers each block at most once
+/// ([`WireError::NonCanonical`]), a stream that ends early is
 /// [`WireError::StreamTruncated`] at [`StreamDecoder::finish`], and bytes
-/// after the declared last frame are [`WireError::TrailingBytes`].
+/// after the declared last frame are [`WireError::TrailingBytes`]. An
+/// accepted stream re-encodes byte-identically: decode ∘ encode is the
+/// identity.
 pub struct StreamDecoder<A: Accumulator> {
     pending: Vec<u8>,
     slots: Option<TableSlots<A>>,
@@ -1264,6 +1092,7 @@ pub struct StreamDecoder<A: Accumulator> {
     entries_done: u32,
     window_idx: usize,
     window_done: u32,
+    window_heights: HashSet<u64>,
     next_seq: u32,
     peak_buffered: usize,
     fed: usize,
@@ -1287,6 +1116,7 @@ impl<A: Accumulator> StreamDecoder<A> {
             entries_done: 0,
             window_idx: 0,
             window_done: 0,
+            window_heights: HashSet::new(),
             next_seq: 0,
             peak_buffered: 0,
             fed: 0,
@@ -1434,6 +1264,16 @@ impl<A: Accumulator> StreamDecoder<A> {
                 while self.windows.get(self.window_idx).is_some_and(|&n| self.window_done >= n) {
                     self.window_idx += 1;
                     self.window_done = 0;
+                    self.window_heights.clear();
+                }
+                // One frame per covered block: a repeat would leave the
+                // block's result objects ambiguous.
+                if let BlockCoverage::Block { height, .. } = &coverage {
+                    if !self.window_heights.insert(*height) {
+                        return Err(WireError::NonCanonical {
+                            what: "block height repeated within a window",
+                        });
+                    }
                 }
                 let window = self.window_idx;
                 self.window_done += 1;
@@ -1452,7 +1292,7 @@ impl<A: Accumulator> StreamDecoder<A> {
 
     /// Declare the stream over. Rejects early ends (missing header, fewer
     /// entry frames than declared, a buffered partial frame) and runs the
-    /// end-of-response intern-table canonicality checks.
+    /// end-of-stream intern-table canonicality checks.
     pub fn finish(self) -> Result<(), WireError> {
         if let Some(e) = self.error {
             return Err(e);

@@ -228,6 +228,13 @@ fn adversarial_sp_is_caught() {
     let empty: QueryResponse<Acc1> = QueryResponse { results: vec![], coverage: vec![] };
     let e = verify_response(&cq, &empty, &light, &sp.cfg, &sp.acc).unwrap_err();
     assert!(matches!(e, VerifyError::MissingCoverage { .. }));
+
+    // Case 6: results list one height twice; the error names that height.
+    let mut repeated = honest.clone();
+    let first = repeated.results[0].clone();
+    repeated.results.push(first);
+    let e = verify_response(&cq, &repeated, &light, &sp.cfg, &sp.acc).unwrap_err();
+    assert_eq!(e, VerifyError::ResultIndexing { height: honest.results[0].0 });
 }
 
 #[test]

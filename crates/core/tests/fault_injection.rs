@@ -7,6 +7,8 @@
 //! and structure-level (AttDigest swaps, witness replay across blocks,
 //! dropped results, dropped coverage, forged results, redirected leaves) —
 //! and drives every one through the wire decoder and full verification.
+//! Structure-level mutants are checked twice: as typed responses through
+//! `verify_response`, and as stream bytes through the wire decoder.
 //!
 //! Invariants asserted for *every* mutation, across both accumulator
 //! constructions:
@@ -40,10 +42,9 @@ use vchain_core::subscribe::{
     WalkStrategy,
 };
 use vchain_core::verify::{verify_encoded_response, verify_response, VerifyError};
-use vchain_core::vo::ClauseRef;
+use vchain_core::vo::{ClauseRef, QueryResponse};
 use vchain_core::wire::{
-    decode_bloom, decode_response, encode_bloom, encode_response, encode_response_v2,
-    encode_scan_stream, encode_update,
+    decode_bloom, encode_bloom, encode_response_stream, encode_scan_stream, encode_update,
 };
 use vchain_pairing::{g1_subgroup_check, Field, Fp, G1Affine};
 
@@ -167,11 +168,9 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
     let cfg = sp.cfg;
     let acc = &sp.acc;
 
-    // Honest baseline: verifies, and the encoding round-trips byte-identically.
+    // Honest baseline: verifies as a typed response and as stream bytes.
     verify_response(&q, &honest, &light, &cfg, acc).expect("honest response verifies");
-    let encoded = encode_response(&honest);
-    let decoded = decode_response(acc, &encoded).expect("honest encoding decodes");
-    assert_eq!(encode_response(&decoded), encoded, "decode∘encode must be the identity");
+    let encoded = encode_response_stream(&honest);
     verify_encoded_response(&q, &encoded, &light, &cfg, acc)
         .expect("honest encoding verifies end-to-end");
 
@@ -192,57 +191,31 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
     let mut adv = Adversary::new(seed);
     let mut tally = Tally { rejected: BTreeMap::new(), noops: 0, driven: 0 };
 
+    let mut typed_drives = 0usize;
     for iter in 0..iters {
         let class = adv.rng().gen_range(0..12u32);
-        let (mutant, label): (Vec<u8>, &'static str) = match class {
-            0..=4 => adv.mutate_bytes(&encoded),
-            5 => {
-                let mut m = honest.clone();
-                if !adv.swap_values(&mut m.coverage) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "swap-values")
+        let (typed, mutant, label): (Option<QueryResponse<A>>, Vec<u8>, &'static str) = match class
+        {
+            0..=4 => {
+                let (m, label) = adv.mutate_bytes(&encoded);
+                (None, m, label)
             }
-            6 => {
+            5..=10 => {
                 let mut m = honest.clone();
-                if !adv.replay_proof(&mut m.coverage) {
+                let (applied, label) = match class {
+                    5 => (adv.swap_values(&mut m.coverage), "swap-values"),
+                    6 => (adv.replay_proof(&mut m.coverage), "replay-proof"),
+                    7 => (adv.drop_result(&mut m.results), "drop-result"),
+                    8 => (adv.drop_coverage(&mut m.coverage), "drop-coverage"),
+                    9 => (adv.forge_result(&mut m.results), "forge-result"),
+                    _ => (adv.redirect_leaf(&mut m.coverage), "redirect-leaf"),
+                };
+                if !applied {
                     tally.noops += 1;
                     continue;
                 }
-                (encode_response(&m), "replay-proof")
-            }
-            7 => {
-                let mut m = honest.clone();
-                if !adv.drop_result(&mut m.results) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "drop-result")
-            }
-            8 => {
-                let mut m = honest.clone();
-                if !adv.drop_coverage(&mut m.coverage) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "drop-coverage")
-            }
-            9 => {
-                let mut m = honest.clone();
-                if !adv.forge_result(&mut m.results) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "forge-result")
-            }
-            10 => {
-                let mut m = honest.clone();
-                if !adv.redirect_leaf(&mut m.coverage) {
-                    tally.noops += 1;
-                    continue;
-                }
-                (encode_response(&m), "redirect-leaf")
+                let bytes = encode_response_stream(&m);
+                (Some(m), bytes, label)
             }
             _ => {
                 let mut m = encoded.clone();
@@ -250,7 +223,7 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
                     Adversary::substitute_slot(&mut m, &victim_bytes, &replacement),
                     "value slot must be locatable in the encoding"
                 );
-                (m, "wrong-subgroup-point")
+                (None, m, "wrong-subgroup-point")
             }
         };
 
@@ -262,27 +235,32 @@ fn run_fault_injection<A: Accumulator>(scheme: IndexScheme, acc: A, seed: u64, i
         }
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            verify_encoded_response(&q, &mutant, &light, &cfg, acc)
+            let typed = typed.as_ref().map(|m| verify_response(&q, m, &light, &cfg, acc));
+            (typed, verify_encoded_response(&q, &mutant, &light, &cfg, acc))
         }));
         tally.driven += 1;
-        match outcome {
-            Err(_) => panic!(
+        let Ok((typed, streamed)) = outcome else {
+            panic!(
                 "PANIC on mutation (class={label}, seed={seed:#x}, iter={iter}) — \
                  verification must be total"
-            ),
-            Ok(Ok(accepted)) => panic!(
-                "ACCEPTED a mutated VO (class={label}, seed={seed:#x}, iter={iter}): \
-                 {} results passed",
-                accepted.len()
-            ),
-            Ok(Err(e)) => {
-                *tally.rejected.entry(classify(&e)).or_insert(0) += 1;
+            )
+        };
+        typed_drives += usize::from(typed.is_some());
+        for (path, verdict) in typed.map(|v| ("typed", v)).into_iter().chain([("stream", streamed)])
+        {
+            match verdict {
+                Ok(accepted) => panic!(
+                    "ACCEPTED a mutated VO via the {path} path (class={label}, seed={seed:#x}, \
+                     iter={iter}): {} results passed",
+                    accepted.len()
+                ),
+                Err(e) => *tally.rejected.entry(classify(&e)).or_insert(0) += 1,
             }
         }
     }
 
     let rejected: usize = tally.rejected.values().sum();
-    assert_eq!(rejected, tally.driven, "every driven mutation must be rejected");
+    assert_eq!(rejected, tally.driven + typed_drives, "every driven mutation must be rejected");
     assert!(
         tally.driven >= iters * 9 / 10,
         "no-op rate too high to be meaningful: {} driven of {iters}",
@@ -383,10 +361,10 @@ fn scan_queries(n: u64, shift: u64) -> Vec<CompiledQuery> {
         .collect()
 }
 
-/// Streaming / v2 counterpart of [`run_fault_injection`]: corrupts a
-/// scan's frame stream (byte classes plus frame reorder, mid-stream
-/// truncation, intern-table shrink and table-entry splice) and a one-shot
-/// v2 encoding, and drives everything through [`StreamVerifier`] /
+/// Multi-window counterpart of [`run_fault_injection`]: corrupts a scan's
+/// frame stream (byte classes plus frame reorder, mid-stream truncation,
+/// intern-table shrink and table-entry splice) and a one-window stream,
+/// and drives everything through [`StreamVerifier`] /
 /// [`verify_encoded_response`]. Same invariants: zero panics, 100%
 /// rejection, every rejection classified.
 fn run_stream_fault_injection<A: Accumulator>(
@@ -402,10 +380,10 @@ fn run_stream_fault_injection<A: Accumulator>(
     let cfg = sp.cfg;
     let acc = &sp.acc;
     let stream = encode_scan_stream(&responses);
-    let v2_first = encode_response_v2(&responses[0]);
+    let first = encode_response_stream(&responses[0]);
 
     // Honest baselines: the stream verifies to the same per-window results
-    // as one-shot verification, and the v2 encoding verifies end-to-end.
+    // as typed verification, and the first window alone verifies as bytes.
     let reference: Vec<Vec<Object>> = queries
         .iter()
         .zip(&responses)
@@ -413,13 +391,13 @@ fn run_stream_fault_injection<A: Accumulator>(
         .collect();
     let streamed =
         drive_stream(&queries, &light, cfg, acc, &stream).expect("honest stream verifies");
-    assert_eq!(streamed, reference, "streamed results must match one-shot verification");
-    verify_encoded_response(&queries[0], &v2_first, &light, &cfg, acc)
-        .expect("honest v2 encoding verifies end-to-end");
+    assert_eq!(streamed, reference, "streamed results must match typed verification");
+    verify_encoded_response(&queries[0], &first, &light, &cfg, acc)
+        .expect("honest one-window stream verifies end-to-end");
 
     enum Target {
         Stream(Vec<u8>),
-        V2(Vec<u8>),
+        Window(Vec<u8>),
     }
 
     let mut adv = Adversary::new(seed);
@@ -454,10 +432,10 @@ fn run_stream_fault_injection<A: Accumulator>(
                     continue;
                 }
             },
-            // A lone window's v2 table can be empty (dedup is a cross-window
+            // A lone window's table can be empty (dedup is a cross-window
             // effect); fall back to the scan stream's shared table then.
-            9 => match Adversary::v2_shrink_table(&v2_first) {
-                Some(m) => (Target::V2(m), "v2-table-shrink"),
+            9 => match Adversary::stream_shrink_table(&first) {
+                Some(m) => (Target::Window(m), "window-table-shrink"),
                 None => match Adversary::stream_shrink_table(&stream) {
                     Some(m) => (Target::Stream(m), "table-shrink-backref"),
                     None => {
@@ -466,8 +444,8 @@ fn run_stream_fault_injection<A: Accumulator>(
                     }
                 },
             },
-            10 => match adv.v2_splice_table(&v2_first) {
-                Some(m) => (Target::V2(m), "v2-table-splice"),
+            10 => match adv.stream_splice_table(&first) {
+                Some(m) => (Target::Window(m), "window-table-splice"),
                 None => match adv.stream_splice_table(&stream) {
                     Some(m) => (Target::Stream(m), "table-entry-splice"),
                     None => {
@@ -477,8 +455,8 @@ fn run_stream_fault_injection<A: Accumulator>(
                 },
             },
             _ => {
-                let (m, label) = adv.mutate_bytes(&v2_first);
-                (Target::V2(m), label)
+                let (m, label) = adv.mutate_bytes(&first);
+                (Target::Window(m), label)
             }
         };
 
@@ -487,7 +465,7 @@ fn run_stream_fault_injection<A: Accumulator>(
                 tally.noops += 1;
                 continue;
             }
-            Target::V2(m) if *m == v2_first => {
+            Target::Window(m) if *m == first => {
                 tally.noops += 1;
                 continue;
             }
@@ -496,7 +474,7 @@ fn run_stream_fault_injection<A: Accumulator>(
 
         let outcome = catch_unwind(AssertUnwindSafe(|| match &target {
             Target::Stream(m) => drive_stream(&queries, &light, cfg, acc, m).map(|r| r.concat()),
-            Target::V2(m) => verify_encoded_response(&queries[0], m, &light, &cfg, acc),
+            Target::Window(m) => verify_encoded_response(&queries[0], m, &light, &cfg, acc),
         }));
         tally.driven += 1;
         match outcome {
@@ -721,7 +699,7 @@ fn missing_window_is_a_typed_error() {
         Query { time_window: None, ranges: vec![], keywords: vec![vec!["Sedan".into()]] }
             .compile(DOMAIN_BITS);
     let sp = miner.into_service_provider();
-    let empty = vchain_core::vo::QueryResponse::<Acc1> { results: vec![], coverage: vec![] };
+    let empty = QueryResponse::<Acc1> { results: vec![], coverage: vec![] };
     let e = verify_response(&windowless, &empty, &light, &sp.cfg, &sp.acc).unwrap_err();
     assert_eq!(e, VerifyError::MissingWindow);
 }

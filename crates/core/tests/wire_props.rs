@@ -1,4 +1,5 @@
-//! Wire-codec properties (the decode boundary's contract):
+//! Properties of the VO stream, the one VO wire format (the decode
+//! boundary's contract):
 //!
 //! 1. **Round-trip** — encoding any response and decoding it back is the
 //!    identity, byte-for-byte (`encode ∘ decode ∘ encode = encode`).
@@ -9,6 +10,8 @@
 //!    encoding: the flipped string either fails to decode with a typed
 //!    [`WireError`], or decodes to a VO that full verification rejects.
 //!    Never a panic, never an accept.
+//! 4. **Golden bytes** — the encoder's output on a fixed fixture is pinned
+//!    by digest, so a format change cannot land unnoticed.
 
 use std::sync::OnceLock;
 
@@ -18,22 +21,54 @@ use rand::{Rng, SeedableRng};
 use vchain_acc::Acc1;
 use vchain_chain::{Difficulty, LightClient, Object};
 use vchain_core::adversary::Adversary;
+use vchain_core::client::{PipelineMode, StreamVerifier};
 use vchain_core::miner::{IndexScheme, Miner, MinerConfig};
 use vchain_core::query::{CompiledQuery, Query, RangeSpec};
-use vchain_core::verify::verify_response;
-use vchain_core::vo::QueryResponse;
+use vchain_core::verify::{verify_encoded_response, verify_response};
+use vchain_core::vo::{BlockCoverage, QueryResponse};
 use vchain_core::wire::{
-    decode_response, decode_response_auto, decode_response_v2, decode_scan_v2, encode_response,
-    encode_response_v2, encode_scan_v2, StreamDecoder, WireVersion,
+    encode_response_stream, encode_scan_stream, StreamDecoder, StreamEvent, WireError,
 };
+use vchain_hash::hash_bytes;
 
 const DOMAIN_BITS: u8 = 6;
+
+/// Decode a whole stream into its window responses (results keyed by the
+/// block entry that carried them, non-empty lists only — the shape the SP
+/// produces).
+fn decode_stream(acc: &Acc1, bytes: &[u8]) -> Result<Vec<QueryResponse<Acc1>>, WireError> {
+    let mut dec = StreamDecoder::new();
+    let mut windows = Vec::new();
+    for ev in dec.feed(acc, bytes)? {
+        match ev {
+            StreamEvent::Header { windows: counts, .. } => {
+                windows = counts
+                    .iter()
+                    .map(|_| QueryResponse { results: vec![], coverage: vec![] })
+                    .collect();
+            }
+            StreamEvent::Entry { window, coverage, results, .. } => {
+                let w: &mut QueryResponse<Acc1> =
+                    windows.get_mut(window).expect("entry window declared by the header");
+                if let BlockCoverage::Block { height, .. } = &coverage {
+                    if !results.is_empty() {
+                        w.results.push((*height, results));
+                    }
+                }
+                w.coverage.push(coverage);
+            }
+        }
+    }
+    dec.finish()?;
+    Ok(windows)
+}
 
 struct Fixture {
     q: CompiledQuery,
     light: LightClient,
     cfg: MinerConfig,
     acc: Acc1,
+    resp: QueryResponse<Acc1>,
     encoded: Vec<u8>,
 }
 
@@ -81,8 +116,8 @@ fn fixture() -> &'static Fixture {
         let sp = miner.into_service_provider();
         let resp = sp.time_window_query(&q);
         verify_response(&q, &resp, &light, &sp.cfg, &sp.acc).expect("honest response verifies");
-        let encoded = encode_response(&resp);
-        Fixture { q, light, cfg: sp.cfg, acc: sp.acc, encoded }
+        let encoded = encode_response_stream(&resp);
+        Fixture { q, light, cfg: sp.cfg, acc: sp.acc, resp, encoded }
     })
 }
 
@@ -92,13 +127,14 @@ struct ScanFixture {
     cfg: MinerConfig,
     acc: Acc1,
     responses: Vec<QueryResponse<Acc1>>,
-    v1_total: usize,
-    scan_v2: Vec<u8>,
+    /// Sum of the windows' one-window streams.
+    windows_total: usize,
+    stream: Vec<u8>,
 }
 
 /// An 8-window overlapping scan over a 6-block chain — the dedup fixture.
-/// Consecutive windows re-cover the same blocks, so the scan-level v2
-/// intern table has real work to do.
+/// Consecutive windows re-cover the same blocks, so the scan-wide intern
+/// table has real work to do.
 fn scan_fixture() -> &'static ScanFixture {
     static FIX: OnceLock<ScanFixture> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -148,21 +184,38 @@ fn scan_fixture() -> &'static ScanFixture {
         for (q, resp) in queries.iter().zip(&responses) {
             verify_response(q, resp, &light, &sp.cfg, &sp.acc).expect("honest scan verifies");
         }
-        let v1_total = responses.iter().map(|r| encode_response(r).len()).sum();
-        let scan_v2 = encode_scan_v2(&responses);
-        ScanFixture { queries, light, cfg: sp.cfg, acc: sp.acc, responses, v1_total, scan_v2 }
+        let windows_total = responses.iter().map(|r| encode_response_stream(r).len()).sum();
+        let stream = encode_scan_stream(&responses);
+        ScanFixture { queries, light, cfg: sp.cfg, acc: sp.acc, responses, windows_total, stream }
     })
 }
 
-/// Results-only responses (no crypto needed) with randomized shapes:
-/// empty keyword lists, empty numeric vectors, unicode keywords, many
-/// blocks — all round-trip byte-identically.
+/// Stream the bytes through the verification pipeline for `queries`.
+fn stream_verifies(queries: &[CompiledQuery], fix: &ScanFixture, bytes: &[u8]) -> bool {
+    let mut sv = StreamVerifier::new(
+        queries.to_vec(),
+        fix.light.clone(),
+        fix.cfg,
+        fix.acc.clone(),
+        PipelineMode::Inline,
+    );
+    sv.feed(bytes).is_ok() && sv.finish().is_ok()
+}
+
+/// The fixture response's coverage carrying randomized result shapes
+/// (no crypto consistency needed for the codec): empty keyword lists, empty
+/// numeric vectors, unicode keywords, empty and multi-object blocks.
 fn random_results_response(seed: u64) -> QueryResponse<Acc1> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let blocks = rng.gen_range(0..5usize);
-    let results = (0..blocks)
-        .map(|_| {
-            let h: u64 = rng.gen();
+    let mut resp = fixture().resp.clone();
+    resp.results = resp
+        .coverage
+        .iter()
+        .filter_map(|cov| match cov {
+            BlockCoverage::Block { height, .. } => Some(*height),
+            BlockCoverage::Skip { .. } => None,
+        })
+        .map(|h| {
             let objs = (0..rng.gen_range(0..4usize))
                 .map(|_| {
                     let numeric = (0..rng.gen_range(0..3usize)).map(|_| rng.gen()).collect();
@@ -175,11 +228,12 @@ fn random_results_response(seed: u64) -> QueryResponse<Acc1> {
                         .collect();
                     Object::new(rng.gen(), rng.gen(), numeric, keywords)
                 })
-                .collect();
+                .collect::<Vec<_>>();
             (h, objs)
         })
+        .filter(|(_, objs)| !objs.is_empty())
         .collect();
-    QueryResponse { results, coverage: vec![] }
+    resp
 }
 
 proptest! {
@@ -189,11 +243,12 @@ proptest! {
     fn results_round_trip_byte_identically(seed in 0u64..u64::MAX) {
         let fix = fixture();
         let resp = random_results_response(seed);
-        let bytes = encode_response(&resp);
-        let decoded = decode_response(&fix.acc, &bytes);
+        let bytes = encode_response_stream(&resp);
+        let decoded = decode_stream(&fix.acc, &bytes);
         prop_assert!(decoded.is_ok(), "honest encoding must decode: {:?}", decoded.err());
-        let reencoded = encode_response(&decoded.expect("checked"));
-        prop_assert_eq!(reencoded, bytes);
+        let decoded = decoded.expect("checked");
+        prop_assert_eq!(&decoded[0].results, &resp.results);
+        prop_assert_eq!(encode_scan_stream(&decoded), bytes);
     }
 
     #[test]
@@ -205,21 +260,26 @@ proptest! {
         let fix = fixture();
         let mut adv = Adversary::new(seed);
         let (mutant, _label) = adv.mutate_bytes(&fix.encoded);
-        if let Ok(decoded) = decode_response(&fix.acc, &mutant) {
-            prop_assert_eq!(encode_response(&decoded), mutant);
+        if let Ok(decoded) = decode_stream(&fix.acc, &mutant) {
+            prop_assert_eq!(encode_scan_stream(&decoded), mutant);
         }
     }
 }
 
 /// The full honest encoding round-trips byte-identically (crypto slots
-/// included), and so does a full verification pass on the decoded copy.
+/// included), and the decoded copy verifies both as a typed response and
+/// as bytes.
 #[test]
 fn honest_response_round_trips_byte_identically() {
     let fix = fixture();
-    let decoded = decode_response(&fix.acc, &fix.encoded).expect("honest encoding decodes");
-    assert_eq!(encode_response(&decoded), fix.encoded);
-    verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc)
+    let decoded = decode_stream(&fix.acc, &fix.encoded).expect("honest encoding decodes");
+    assert_eq!(decoded.len(), 1);
+    assert_eq!(encode_scan_stream(&decoded), fix.encoded);
+    let typed = verify_response(&fix.q, &decoded[0], &fix.light, &fix.cfg, &fix.acc)
         .expect("decoded copy verifies");
+    let streamed = verify_encoded_response(&fix.q, &fix.encoded, &fix.light, &fix.cfg, &fix.acc)
+        .expect("honest bytes verify");
+    assert_eq!(typed, streamed);
 }
 
 /// Exhaustive single-bit sweep over the whole honest encoding: every flip
@@ -232,16 +292,19 @@ fn every_single_bit_corruption_fails_cleanly_or_is_rejected() {
     let mut verify_rejections = 0usize;
     for bit in 0..fix.encoded.len() * 8 {
         let mutant = Adversary::flip_bit(&fix.encoded, bit);
-        match decode_response(&fix.acc, &mutant) {
+        match decode_stream(&fix.acc, &mutant) {
             Err(_) => decode_failures += 1,
             Ok(decoded) => {
                 assert_eq!(
-                    encode_response(&decoded),
+                    encode_scan_stream(&decoded),
                     mutant,
                     "bit {bit}: accepted decode must re-encode canonically"
                 );
-                let v = verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc);
-                assert!(v.is_err(), "bit {bit}: corrupted VO must not verify");
+                // A window-count change is the stream verifier's rejection;
+                // otherwise the decoded window itself must fail.
+                let verifies = decoded.len() == 1
+                    && verify_response(&fix.q, &decoded[0], &fix.light, &fix.cfg, &fix.acc).is_ok();
+                assert!(!verifies, "bit {bit}: corrupted VO must not verify");
                 verify_rejections += 1;
             }
         }
@@ -252,116 +315,119 @@ fn every_single_bit_corruption_fails_cleanly_or_is_rejected() {
     assert!(verify_rejections > 0, "no cryptographic rejections in the sweep");
 }
 
-// ---------------------------------------------------------------------------
-// v2 (deduplicating intern-table) encoding
-// ---------------------------------------------------------------------------
-
-/// The per-response v2 encoding round-trips byte-identically, and the
-/// version-dispatching decoder routes both encodings of the same response
-/// to the same value.
+/// The scan stream round-trips byte-identically, every decoded window still
+/// verifies, and the scan-wide intern table beats the windows' one-window
+/// streams by more than 20% on the 8-window overlapping fixture.
 #[test]
-fn v2_response_round_trips_byte_identically() {
-    let fix = fixture();
-    let resp = decode_response(&fix.acc, &fix.encoded).expect("honest v1 decodes");
-    let v2 = encode_response_v2(&resp);
-    let decoded = decode_response_v2(&fix.acc, &v2).expect("honest v2 decodes");
-    assert_eq!(encode_response_v2(&decoded), v2);
-    verify_response(&fix.q, &decoded, &fix.light, &fix.cfg, &fix.acc)
-        .expect("decoded v2 copy verifies");
-
-    let (auto_v1, ver1) = decode_response_auto(&fix.acc, &fix.encoded).expect("auto v1");
-    let (auto_v2, ver2) = decode_response_auto(&fix.acc, &v2).expect("auto v2");
-    assert_eq!(ver1, WireVersion::V1);
-    assert_eq!(ver2, WireVersion::V2);
-    assert_eq!(encode_response(&auto_v1), fix.encoded);
-    assert_eq!(encode_response_v2(&auto_v2), v2);
-}
-
-/// The scan-level v2 encoding round-trips byte-identically, every decoded
-/// window still verifies, and scan-level dedup beats the v1 per-window
-/// encodings by more than 20% on the 8-window overlapping fixture.
-#[test]
-fn scan_v2_round_trips_and_dedupes_over_20_percent() {
+fn scan_stream_round_trips_and_dedupes_over_20_percent() {
     let fix = scan_fixture();
-    let decoded = decode_scan_v2(&fix.acc, &fix.scan_v2).expect("honest scan decodes");
+    let decoded = decode_stream(&fix.acc, &fix.stream).expect("honest scan decodes");
     assert_eq!(decoded.len(), fix.responses.len());
-    assert_eq!(encode_scan_v2(&decoded), fix.scan_v2);
+    assert_eq!(encode_scan_stream(&decoded), fix.stream);
     for (q, resp) in fix.queries.iter().zip(&decoded) {
         verify_response(q, resp, &fix.light, &fix.cfg, &fix.acc)
             .expect("decoded scan window verifies");
     }
-    // ratio < 0.8  ⟺  5 * v2 < 4 * v1 (integer-exact).
+    assert!(stream_verifies(&fix.queries, fix, &fix.stream), "honest scan stream verifies");
+    // ratio < 0.8  ⟺  5 * scan < 4 * windows (integer-exact).
     assert!(
-        5 * fix.scan_v2.len() < 4 * fix.v1_total,
-        "scan v2 must be <0.8x the v1 total: v2={} v1={}",
-        fix.scan_v2.len(),
-        fix.v1_total
+        5 * fix.stream.len() < 4 * fix.windows_total,
+        "scan stream must be <0.8x its windows' one-window streams: scan={} windows={}",
+        fix.stream.len(),
+        fix.windows_total
     );
 }
 
-/// Exhaustive single-bit sweep over a full v2 scan encoding (a 2-window
-/// sub-scan keeps the sweep affordable while still exercising the intern
-/// table and back-references): every flip is a typed decode failure or a
+/// Golden pin: the stream encoder's exact output on the Acc1 scan fixture
+/// (Acc1 element hashing does not depend on the process's interning
+/// history, so the bytes are fixed). Any change to these bytes is a
+/// wire-format change and must be made on purpose.
+#[test]
+fn stream_bytes_match_the_golden_digests() {
+    let fix = scan_fixture();
+    let one = encode_response_stream(&fix.responses[0]);
+    assert_eq!(fix.stream.len(), 3669);
+    assert_eq!(
+        hash_bytes(&fix.stream).to_hex(),
+        "49d290bb57c9dac8772be660c3f814d6fb51428414974c1adc5f627338a8c9aa"
+    );
+    assert_eq!(one.len(), 639);
+    assert_eq!(
+        hash_bytes(&one).to_hex(),
+        "3b0f0bc9fb491d1c6f3863e493bca03b01e97a813162e862821745908bfdb2d7"
+    );
+    assert_eq!(fix.windows_total, 7900);
+}
+
+/// Exhaustive single-bit sweep over a full scan stream (a 2-window sub-scan
+/// keeps the sweep affordable while still exercising the intern table and
+/// back-references): every flip is a typed decode failure or a
 /// decoded-but-rejected scan, and accepted decodes re-encode canonically.
 #[test]
-fn every_single_bit_corruption_of_v2_fails_cleanly_or_is_rejected() {
+fn every_single_bit_corruption_of_a_scan_stream_fails_cleanly_or_is_rejected() {
     let fix = scan_fixture();
-    let sub = &fix.responses[..2];
-    let encoded = encode_scan_v2(sub);
+    let queries = &fix.queries[..2];
+    let encoded = encode_scan_stream(&fix.responses[..2]);
     let mut decode_failures = 0usize;
     let mut verify_rejections = 0usize;
     for bit in 0..encoded.len() * 8 {
         let mutant = Adversary::flip_bit(&encoded, bit);
-        match decode_scan_v2(&fix.acc, &mutant) {
+        match decode_stream(&fix.acc, &mutant) {
             Err(_) => decode_failures += 1,
             Ok(decoded) => {
                 assert_eq!(
-                    encode_scan_v2(&decoded),
+                    encode_scan_stream(&decoded),
                     mutant,
                     "bit {bit}: accepted decode must re-encode canonically"
                 );
-                let all_ok = decoded.len() == sub.len()
-                    && fix.queries.iter().zip(&decoded).all(|(q, r)| {
-                        verify_response(q, r, &fix.light, &fix.cfg, &fix.acc).is_ok()
-                    });
-                assert!(!all_ok, "bit {bit}: corrupted scan must not fully verify");
+                assert!(
+                    !stream_verifies(queries, fix, &mutant),
+                    "bit {bit}: corrupted scan must not fully verify"
+                );
                 verify_rejections += 1;
             }
         }
     }
     assert_eq!(decode_failures + verify_rejections, encoded.len() * 8);
-    assert!(decode_failures > 0, "no structural rejections in the v2 sweep");
-    assert!(verify_rejections > 0, "no cryptographic rejections in the v2 sweep");
+    assert!(decode_failures > 0, "no structural rejections in the scan sweep");
+    assert!(verify_rejections > 0, "no cryptographic rejections in the scan sweep");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Decode totality: the v2 and stream decoders return `Ok` or a typed
-    /// `WireError` on arbitrary bytes — never a panic. (proptest reports a
-    /// panic as a failure, so simply driving the decoders is the assert.)
+    /// Decode totality: the stream decoder returns `Ok` or a typed
+    /// `WireError` on arbitrary bytes — never a panic — whether the bytes
+    /// arrive whole or behind an honest header frame. (proptest reports a
+    /// panic as a failure, so simply driving the decoder is the assert.)
     #[test]
-    fn v2_decoders_are_total_on_arbitrary_bytes(
+    fn stream_decoder_is_total_on_arbitrary_bytes(
         bytes in proptest::collection::vec(0u8..=255, 0..512),
     ) {
         let fix = fixture();
-        let _ = decode_response_v2(&fix.acc, &bytes);
-        let _ = decode_scan_v2(&fix.acc, &bytes);
         let mut dec = StreamDecoder::<Acc1>::new();
+        let _ = dec.feed(&fix.acc, &bytes);
+        let _ = dec.finish();
+
+        let header_len = 4 + u32::from_le_bytes(
+            fix.encoded[..4].try_into().expect("length prefix"),
+        ) as usize;
+        let mut dec = StreamDecoder::<Acc1>::new();
+        let _ = dec.feed(&fix.acc, &fix.encoded[..header_len]);
         let _ = dec.feed(&fix.acc, &bytes);
         let _ = dec.finish();
     }
 
-    /// Adversarial multi-byte corruption of the scan encoding: whenever the
+    /// Adversarial multi-byte corruption of the scan stream: whenever the
     /// decoder accepts the mutant, the mutant is the canonical encoding of
     /// what it decoded to.
     #[test]
     fn accepted_scan_corruptions_reencode_canonically(seed in 0u64..u64::MAX) {
         let fix = scan_fixture();
         let mut adv = Adversary::new(seed);
-        let (mutant, _label) = adv.mutate_bytes(&fix.scan_v2);
-        if let Ok(decoded) = decode_scan_v2(&fix.acc, &mutant) {
-            prop_assert_eq!(encode_scan_v2(&decoded), mutant);
+        let (mutant, _label) = adv.mutate_bytes(&fix.stream);
+        if let Ok(decoded) = decode_stream(&fix.acc, &mutant) {
+            prop_assert_eq!(encode_scan_stream(&decoded), mutant);
         }
     }
 }
