@@ -24,14 +24,14 @@
 //! must map into `[1, q)`), the drawback the paper addresses with a trusted
 //! oracle / SGX; our dictionary encoder plays that role (DESIGN.md §2).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use rand::Rng;
 use vchain_bigint::U256;
 use vchain_pairing::{
-    multi_pairing, multiexp, sum_affine, CurveSpec, Field, Fr, G1Affine, G1Projective, G1Spec,
-    G2Affine, G2Projective, G2Spec,
+    batch_to_affine, multi_pairing, multiexp, sum_affine, CurveSpec, Field, Fp2, Fr, G1Affine,
+    G1Projective, G1Spec, G2Affine, G2Projective, G2Spec,
 };
 
 use crate::{batch_coefficients_ctx, AccElem, AccError, Accumulator, MultiSet};
@@ -273,6 +273,35 @@ impl Acc2 {
     }
 }
 
+/// The pairs of the RLC identity `Π e(ρᵢ·d_Aᵢ, d_Bᵢ) · e(−Σρᵢπᵢ, g₂) = 1`,
+/// with the items that share a clause value folded by bilinearity:
+/// `Π_{i∈G} e(ρᵢ·d_Aᵢ, d_B) = e(Σ_{i∈G} ρᵢ·d_Aᵢ, d_B)`. That is one pair per
+/// distinct `d_B` (buckets in first-appearance order) plus the proof pair,
+/// and the value in `GT` is the ungrouped product's. Bucketing is hashed,
+/// so a batch of `n` distinct clauses stays linear and costs what the
+/// ungrouped fold does (`multiexp` of one base is one `mul_u256`).
+fn rlc_pairs(
+    items: &[(Acc2Value, Acc2Value, Acc2Proof)],
+    scalars: &[U256],
+) -> Vec<(G1Affine, G2Affine)> {
+    let mut bucket_of: HashMap<Option<(Fp2, Fp2)>, usize> = HashMap::with_capacity(items.len());
+    let mut buckets: Vec<(G2Affine, Vec<G1Projective>, Vec<U256>)> = Vec::new();
+    for ((a1, a2, _), k) in items.iter().zip(scalars) {
+        let key = (!a2.db.infinity).then_some((a2.db.x, a2.db.y));
+        let b = *bucket_of.entry(key).or_insert_with(|| {
+            buckets.push((a2.db, Vec::new(), Vec::new()));
+            buckets.len() - 1
+        });
+        buckets[b].1.push(a1.da.to_projective());
+        buckets[b].2.push(*k);
+    }
+    let pis: Vec<G1Projective> = items.iter().map(|(_, _, p)| p.pi.to_projective()).collect();
+    let mut g1: Vec<G1Projective> = buckets.iter().map(|(_, das, ks)| multiexp(das, ks)).collect();
+    g1.push(multiexp(&pis, scalars).neg());
+    let g2 = buckets.iter().map(|(db, _, _)| *db).chain([G2Projective::generator().to_affine()]);
+    batch_to_affine(&g1).into_iter().zip(g2).collect()
+}
+
 impl Accumulator for Acc2 {
     type Value = Acc2Value;
     type Proof = Acc2Proof;
@@ -382,9 +411,13 @@ impl Accumulator for Acc2 {
     /// Π e(ρᵢ·d_Aᵢ, d_Bᵢ) · e(−Σρᵢπᵢ, g₂) = 1
     /// ```
     ///
-    /// An `n`-batch costs one `n+1`-pair multi-pairing (one final
-    /// exponentiation) plus one `n`-term Pippenger multiexp of 128-bit
-    /// scalars, versus `n` full pairing checks for the naive loop. The
+    /// Items that share a clause value `d_B` fold further by bilinearity,
+    /// `Π_{i∈G} e(ρᵢ·d_Aᵢ, d_B) = e(Σ_{i∈G} ρᵢ·d_Aᵢ, d_B)`, so an `n`-batch
+    /// over `k` distinct clause values costs one multi-pairing of `k+1`
+    /// pairs (one Miller loop, one final exponentiation) plus multiexps of
+    /// 128-bit scalars: one `n`-term over the proofs and one per clause
+    /// over its `d_A`s. The naive loop costs `n` full pairing checks. The
+    /// value checked in `GT` does not depend on the grouping. The
     /// coefficients `ρᵢ` come from the shared [`batch_coefficients_ctx`]
     /// transcript derivation.
     fn batch_verify_disjoint(&self, items: &[(Acc2Value, Acc2Value, Acc2Proof)]) -> bool {
@@ -402,15 +435,7 @@ impl Accumulator for Acc2 {
             _ => {
                 let rho = batch_coefficients_ctx::<Self>(context, items);
                 let scalars: Vec<U256> = rho.iter().map(Fr::to_uint).collect();
-                let mut pairs = Vec::with_capacity(items.len() + 1);
-                for ((a1, a2, _), k) in items.iter().zip(&scalars) {
-                    pairs.push((a1.da.to_projective().mul_u256(k).to_affine(), a2.db));
-                }
-                let pis: Vec<G1Projective> =
-                    items.iter().map(|(_, _, p)| p.pi.to_projective()).collect();
-                let agg_pi = multiexp(&pis, &scalars);
-                pairs.push((agg_pi.neg().to_affine(), G2Projective::generator().to_affine()));
-                multi_pairing(&pairs).is_one()
+                multi_pairing(&rlc_pairs(items, &scalars)).is_one()
             }
         }
     }
@@ -733,6 +758,124 @@ mod tests {
         assert_eq!(a.batch_verify_disjoint_attributed(&items), Ok(()));
         items[1].2 = Acc2Proof { pi: G1Projective::generator().mul_u64(99).to_affine() };
         assert_eq!(a.batch_verify_disjoint_attributed(&items), Err(1));
+    }
+
+    /// The ungrouped RLC evaluation, one `(ρᵢ·d_Aᵢ, d_Bᵢ)` pair per item
+    /// plus the proof pair: the oracle that [`rlc_pairs`] must match in `GT`.
+    fn rlc_pairs_ungrouped(
+        items: &[(Acc2Value, Acc2Value, Acc2Proof)],
+        scalars: &[U256],
+    ) -> Vec<(G1Affine, G2Affine)> {
+        let mut pairs: Vec<_> = items
+            .iter()
+            .zip(scalars)
+            .map(|((a1, a2, _), k)| (a1.da.to_projective().mul_u256(k).to_affine(), a2.db))
+            .collect();
+        let pis: Vec<G1Projective> = items.iter().map(|(_, _, p)| p.pi.to_projective()).collect();
+        let agg_pi = multiexp(&pis, scalars).neg().to_affine();
+        pairs.push((agg_pi, G2Projective::generator().to_affine()));
+        pairs
+    }
+
+    /// The transcript coefficients of `items` as scalars.
+    fn rho(items: &[(Acc2Value, Acc2Value, Acc2Proof)]) -> Vec<U256> {
+        batch_coefficients_ctx::<Acc2>(&[], items).iter().map(Fr::to_uint).collect()
+    }
+
+    /// Grouped and ungrouped evaluation of `items` under their transcript
+    /// coefficients: `(grouped pair count, grouped GT == ungrouped GT)`.
+    fn grouped_vs_oracle(items: &[(Acc2Value, Acc2Value, Acc2Proof)]) -> (usize, bool) {
+        let scalars = rho(items);
+        let grouped = rlc_pairs(items, &scalars);
+        let same = multi_pairing(&grouped) == multi_pairing(&rlc_pairs_ungrouped(items, &scalars));
+        (grouped.len(), same)
+    }
+
+    /// Two shared-clause groups of five and four items, interleaved, plus
+    /// one singleton clause: the dashboard shape in miniature.
+    fn shared_batch(a: &Acc2) -> Vec<(Acc2Value, Acc2Value, Acc2Proof)> {
+        let (p, r, s): (&[u64], &[u64], &[u64]) = (&[40, 41], &[50], &[60]);
+        batch(
+            a,
+            &[
+                (&[1], p),
+                (&[2, 3], r),
+                (&[4], p),
+                (&[5, 5], r),
+                (&[6], s),
+                (&[7], p),
+                (&[8, 9], r),
+                (&[10], p),
+                (&[11], r),
+                (&[12, 13], p),
+            ],
+        )
+    }
+
+    #[test]
+    fn grouped_flush_matches_the_ungrouped_oracle() {
+        let a = acc();
+        let items = shared_batch(&a);
+        assert!(a.batch_verify_disjoint(&items));
+        assert_eq!(grouped_vs_oracle(&items), (4, true), "3 clause values + the proof pair");
+        // buckets follow first appearance: clause p, then r, then s
+        let dbs: Vec<G2Affine> =
+            rlc_pairs(&items, &rho(&items)).iter().map(|&(_, db)| db).collect();
+        assert_eq!(dbs[..3], [items[0].1.db, items[1].1.db, items[4].1.db]);
+        // all-distinct clauses keep one pair per item
+        let distinct = batch(&a, &[(&[1], &[10]), (&[2], &[20]), (&[3], &[30])]);
+        assert_eq!(grouped_vs_oracle(&distinct), (4, true));
+    }
+
+    #[test]
+    fn forged_proof_inside_a_shared_group_is_named() {
+        let a = acc();
+        let mut items = shared_batch(&a);
+        items[5].2 = Acc2Proof { pi: G1Projective::generator().mul_u64(5).to_affine() };
+        assert!(!a.batch_verify_disjoint(&items));
+        assert_eq!(grouped_vs_oracle(&items), (4, true));
+        assert_eq!(a.batch_verify_disjoint_attributed_ctx(b"heights", &items), Err(5));
+    }
+
+    #[test]
+    fn swapping_da_within_a_group_is_rejected() {
+        let a = acc();
+        let mut items = shared_batch(&a);
+        let da0 = items[0].0.da;
+        items[0].0.da = items[2].0.da;
+        items[2].0.da = da0;
+        assert!(!a.batch_verify_disjoint(&items));
+        assert_eq!(grouped_vs_oracle(&items), (4, true));
+        assert_eq!(a.batch_verify_disjoint_attributed(&items), Err(0));
+    }
+
+    #[test]
+    fn negated_clause_value_gets_its_own_bucket() {
+        // −d_B shares d_B's x-coordinate but is another clause value
+        let a = acc();
+        let mut items = shared_batch(&a);
+        items[2].1.db = items[2].1.db.neg();
+        assert!(!a.batch_verify_disjoint(&items));
+        assert_eq!(grouped_vs_oracle(&items), (5, true));
+        assert_eq!(a.batch_verify_disjoint_attributed(&items), Err(2));
+    }
+
+    #[test]
+    fn identity_da_group_still_verifies() {
+        // X₁ = ∅ gives d_A = π = identity, so a whole group's d_A sum is
+        // the identity and its pair drops out of the Miller loop.
+        let a = acc();
+        let empty: &[u64] = &[];
+        let mut items = batch(
+            &a,
+            &[(empty, &[40]), (empty, &[40]), (empty, &[40]), (empty, &[40]), (&[1], &[50])],
+        );
+        assert!(items[..4].iter().all(|(a1, _, p)| a1.da.is_identity() && p.pi.is_identity()));
+        assert!(a.batch_verify_disjoint(&items));
+        assert_eq!(grouped_vs_oracle(&items), (3, true));
+        items[3].2 = Acc2Proof { pi: G1Projective::generator().to_affine() };
+        assert!(!a.batch_verify_disjoint(&items));
+        assert_eq!(a.batch_verify_disjoint_attributed(&items), Err(3));
     }
 
     #[test]

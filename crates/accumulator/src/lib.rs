@@ -306,7 +306,9 @@ pub trait Accumulator: Clone + Send + Sync + 'static {
     /// constructions override it with a random-linear-combination
     /// aggregation — one aggregated check replaces many independent ones —
     /// that folds every triple into a *single* multi-pairing (one shared
-    /// Miller loop, one final exponentiation). The combination
+    /// Miller loop, one final exponentiation). [`Acc2`] gives that
+    /// multi-pairing one pair per *distinct* clause value `acc(X₂)` plus
+    /// one for the proofs, however many triples share a clause. The combination
     /// coefficients are 128-bit scalars derived Fiat–Shamir-style from the
     /// whole transcript, so a cheating prover cannot anticipate them: a
     /// batch containing any invalid triple passes with probability at most

@@ -12,7 +12,8 @@
 //! `VCHAIN_BENCH_TOL_IMPROVE` armed (off by default) — when an entry is
 //! *faster* than baseline ÷ that ratio minus the slack, i.e. an
 //! unexplained speed-up that means the ledger or the benchmark is stale
-//! (see [`vchain_bench::check`] for the tolerance model).
+//! (see [`vchain_bench::check`] for the tolerance model), or when the
+//! fresh run breaks one of that module's same-run floors.
 
 use std::process::ExitCode;
 
@@ -53,13 +54,14 @@ fn main() -> ExitCode {
     );
     print!("{}", cmp.render_table());
     if cmp.passed() {
-        println!("\nbench_check: OK — no entry beyond tolerance");
+        println!("\nbench_check: OK — no entry beyond tolerance or floor");
         ExitCode::SUCCESS
     } else {
         let n = cmp.findings.iter().filter(|f| f.regressed || f.improved).count()
-            + cmp.missing_entries.len();
+            + cmp.missing_entries.len()
+            + cmp.broken_floors.len();
         println!(
-            "\nbench_check: FAILED — {n} entr{} beyond tolerance",
+            "\nbench_check: FAILED — {n} entr{} beyond tolerance or floor",
             if n == 1 { "y" } else { "ies" }
         );
         ExitCode::FAILURE

@@ -279,6 +279,18 @@ fn main() {
         us_per_iter: t.us_per_iter / batch.len() as f64,
     });
     timings.push(t);
+    // The dashboard shape: 32 triples over 3 clause values. The flush pairs
+    // once per distinct clause, so this costs at most half of the
+    // all-distinct batch above (a same-run floor in `vchain_bench::check`).
+    let shared: Vec<_> = (0..32u64)
+        .map(|i| {
+            let (xa, xb) = (ms(&[2 * i + 1]), ms(&[1000 + i % 3]));
+            (acc2.setup(&xa), acc2.setup(&xb), acc2.prove_disjoint(&xa, &xb).unwrap())
+        })
+        .collect();
+    timings.push(time("batch_verify_disjoint_acc2_32_shared", 5, || {
+        acc2.batch_verify_disjoint(&shared)
+    }));
 
     // --- end-to-end block query (the paper's intra_acc2 hot path) -------
     let spec = WorkloadSpec::paper_defaults(Dataset::FourSquare, 1);

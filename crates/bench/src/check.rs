@@ -35,6 +35,10 @@
 //! table prints the bound *actually applied* to each entry (`bound µs` —
 //! ratio and slack folded in), so a verdict can be read off one line
 //! without re-deriving the tolerance arithmetic.
+//!
+//! Same-run floors add ratio gates between two entries of the fresh run,
+//! which no change of host can move: today,
+//! `batch_verify_disjoint_acc2_32_shared` ≤ 0.5 × `batch_verify_disjoint_acc2_32`.
 
 use std::fmt::Write as _;
 
@@ -117,12 +121,17 @@ pub struct Comparison {
     pub new_entries: Vec<String>,
     /// Entries only in the baseline (these FAIL the gate).
     pub missing_entries: Vec<String>,
+    /// One message per same-run floor the fresh run breaks (these FAIL
+    /// the gate).
+    pub broken_floors: Vec<String>,
 }
 
 impl Comparison {
     /// Does the gate pass?
     pub fn passed(&self) -> bool {
-        self.missing_entries.is_empty() && self.findings.iter().all(|f| !f.regressed && !f.improved)
+        self.missing_entries.is_empty()
+            && self.broken_floors.is_empty()
+            && self.findings.iter().all(|f| !f.regressed && !f.improved)
     }
 
     /// Render the per-entry table (flagged entries first, worst ratios
@@ -162,6 +171,9 @@ impl Comparison {
         }
         for name in &self.new_entries {
             let _ = writeln!(out, "{name:<38} {:>12} {:>12} {:>8} {:>18}  new", "-", "-", "-", "-");
+        }
+        for broken in &self.broken_floors {
+            let _ = writeln!(out, "FLOOR BROKEN: {broken}");
         }
         out
     }
@@ -221,6 +233,7 @@ pub fn compare_with_improve(
             cmp.new_entries.push(cur.name.clone());
         }
     }
+    cmp.broken_floors = broken_floors(current, FLOORS);
     // worst offenders first so the CI log leads with the problem; among
     // flagged entries, slowdowns sort by ratio and unexplained speed-ups
     // by inverse ratio (the smaller the ratio, the more suspicious).
@@ -271,6 +284,49 @@ pub fn merge_entries(json: &str, entries: &[(String, u32, f64)]) -> Result<Strin
     out.push('\n');
     out.push_str(tail);
     Ok(out)
+}
+
+/// A same-run ratio floor: within one fresh run, entry `numerator` must
+/// cost at most `max_ratio` × entry `denominator`. Both entries are timed
+/// by one process on one host, so the floor holds on any machine, unlike
+/// the comparison against a committed baseline.
+struct Floor {
+    numerator: &'static str,
+    denominator: &'static str,
+    max_ratio: f64,
+    /// What the floor guards.
+    why: &'static str,
+}
+
+/// The floors every fresh run must meet.
+const FLOORS: &[Floor] = &[Floor {
+    numerator: "batch_verify_disjoint_acc2_32_shared",
+    denominator: "batch_verify_disjoint_acc2_32",
+    max_ratio: 0.5,
+    why: "a batch over 3 clause values pairs once per clause, not once per triple",
+}];
+
+/// One message per floor that `run` breaks. A floor whose entries are
+/// both absent is skipped: a run that drops ledger entries already fails
+/// as `missing_entries`. A floor with one entry absent is broken.
+fn broken_floors(run: &[Entry], floors: &[Floor]) -> Vec<String> {
+    let get = |name: &str| run.iter().find(|e| e.name == name).map(|e| e.us_per_iter);
+    floors
+        .iter()
+        .filter_map(|f| match (get(f.numerator), get(f.denominator)) {
+            (None, None) => None,
+            (Some(num), Some(den)) if num <= f.max_ratio * den => None,
+            (Some(num), Some(den)) => Some(format!(
+                "{} = {num:.3} µs is {:.3}x {} = {den:.3} µs, above the {:.2}x floor ({})",
+                f.numerator,
+                num / den,
+                f.denominator,
+                f.max_ratio,
+                f.why
+            )),
+            _ => Some(format!("floor {} / {} lacks an entry", f.numerator, f.denominator)),
+        })
+        .collect()
 }
 
 /// The ratio tolerance from `VCHAIN_BENCH_TOL` (default 2.0).
@@ -446,6 +502,28 @@ mod tests {
         assert!(merge_entries(SAMPLE, &[("pairing".to_string(), 1, 1.0)]).is_err());
         assert!(merge_entries("{}", &[("x".to_string(), 1, 1.0)]).is_err());
         assert!(merge_entries(SAMPLE, &[("x".to_string(), 1, f64::NAN)]).is_err());
+    }
+
+    #[test]
+    fn floors_hold_break_and_require_both_entries() {
+        let floor = [Floor { numerator: "a", denominator: "b", max_ratio: 0.5, why: "test" }];
+        assert!(broken_floors(&entries(&[("a", 50.0), ("b", 100.0)]), &floor).is_empty());
+        let bad = broken_floors(&entries(&[("a", 51.0), ("b", 100.0)]), &floor);
+        assert_eq!(bad.len(), 1);
+        assert!(bad[0].contains("0.510x"), "message was: {}", bad[0]);
+        assert_eq!(broken_floors(&entries(&[("b", 100.0)]), &floor).len(), 1);
+        assert!(broken_floors(&entries(&[("c", 1.0)]), &floor).is_empty());
+    }
+
+    #[test]
+    fn a_broken_floor_fails_the_gate() {
+        let (shared, distinct) = (FLOORS[0].numerator, FLOORS[0].denominator);
+        let base = entries(&[(shared, 400.0), (distinct, 1000.0)]);
+        assert!(compare(&base, &base, 2.0, 25.0).passed());
+        let fresh = entries(&[(shared, 600.0), (distinct, 1000.0)]);
+        let cmp = compare(&base, &fresh, 2.0, 25.0);
+        assert!(!cmp.passed() && cmp.findings.iter().all(|f| !f.regressed));
+        assert!(cmp.render_table().contains("FLOOR BROKEN"));
     }
 
     #[test]
